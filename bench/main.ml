@@ -617,40 +617,6 @@ let json_mode ~full =
           ])
       [ "flooding_counter.nfc"; "pumped_counter.nfc" ]
   in
-  (* Intra-search ablation: one full exploration per (protocol, domain
-     count), fresh engine each run — what the work-stealing parallel BFS
-     buys on THIS machine.  On a single-core container the curve is
-     honestly flat (the level barriers and striped insertion cost a
-     little with nothing to win back); the determinism suite is what
-     certifies the parallel path, this prices it. *)
-  let intra_search =
-    let nodes = if full then 100_000 else 30_000 in
-    let ibounds = { engine_bounds with Nfc_mcheck.Explore.max_nodes = nodes } in
-    let time proto domains =
-      let module P = (val proto : Nfc_protocol.Spec.S) in
-      let module E = Nfc_mcheck.Explore.Make (P) in
-      let t0 = Unix.gettimeofday () in
-      ignore (E.reachable_set ~domains ibounds);
-      Unix.gettimeofday () -. t0
-    in
-    List.map
-      (fun proto ->
-        let module P = (val proto : Nfc_protocol.Spec.S) in
-        let d1 = time proto 1 in
-        let d2 = time proto 2 in
-        let d4 = time proto 4 in
-        Json.Obj
-          [
-            ("protocol", Json.String P.name);
-            ("max_nodes", Json.Int nodes);
-            ("domains1_seconds", Json.Float d1);
-            ("domains2_seconds", Json.Float d2);
-            ("domains4_seconds", Json.Float d4);
-            ("speedup_d2", Json.Float (d1 /. d2));
-            ("speedup_d4", Json.Float (d1 /. d4));
-          ])
-      (Nfc_protocol.Registry.defaults ())
-  in
   (* POR reduction, measured at capacity 4 where the sub-capacity drop
      closure is thickest.  Honest accounting: over a MULTISET channel most
      drop interleavings already collapse into one configuration, so the
@@ -754,7 +720,6 @@ let json_mode ~full =
             ("unit", Json.String "ns/run (bechamel OLS, monotonic clock)");
             ("estimates", Json.List estimates);
             ("engine_ablation", Json.List engine);
-            ("intra_search", Json.List intra_search);
             ("por_reduction", Json.List por_reduction);
             ("lint_registry_wall_clock", Json.List lint);
             ("cover_vs_explore", Json.List cover_vs_explore);

@@ -41,6 +41,16 @@ let spec_conv =
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Nfc_protocol.Spec.name p))
 
+(* Budgets that must be at least 1: a zero is a usage error (exit 124
+   naming the option), not an exception escaping the analysis. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let spec_arg =
   Arg.(
     value
@@ -84,19 +94,6 @@ let jobs_arg =
           "Worker domains for independent sub-tasks (0 = one per core). The default 1 \
            runs fully sequentially; any value produces identical output — parallelism \
            only changes wall-clock time.")
-(* --jobs fans out independent sub-tasks (per-protocol lint runs, boundness
-   probes); --engine-domains parallelises INSIDE one state-space search.
-   They compose: lint --jobs 4 --engine-domains 2 runs four protocols at a
-   time, each explored by two domains. *)
-let engine_domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "engine-domains" ] ~docv:"D"
-        ~doc:
-          "Intra-search worker domains for a single exploration (0 = one per core). \
-           Distinct from $(b,--jobs), which fans out independent sub-tasks: this \
-           parallelises inside one state-space search with a work-stealing \
-           level-synchronous BFS. Results are byte-identical at any value.")
 
 let por_arg =
   Arg.(
@@ -107,8 +104,6 @@ let por_arg =
            channel is at capacity (drops commute with every other move over a \
            multiset channel). Preserves phantom reachability, packet alphabets and \
            boundness verdicts while exploring fewer configurations.")
-
-let resolve_domains d = if d = 0 then Nfc_util.Pool.recommended () else max 1 d
 
 let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller, faster experiment variants")
 
@@ -234,7 +229,7 @@ let mcheck_cmd =
       & info [ "wedge" ]
           ~doc:"Search for a liveness wedge (no continuation delivers) instead of a phantom")
   in
-  let run protocol capacity submits nodes no_drop save wedge engine_domains por =
+  let run protocol capacity submits nodes no_drop save wedge por =
     let bounds =
       {
         Nfc_mcheck.Explore.capacity_tr = capacity;
@@ -245,7 +240,6 @@ let mcheck_cmd =
         por;
       }
     in
-    let domains = resolve_domains engine_domains in
     if wedge then begin
       let o = Nfc_mcheck.Explore.find_wedge protocol bounds in
       Format.printf "%a@." Nfc_mcheck.Explore.pp_wedge_outcome o;
@@ -257,7 +251,7 @@ let mcheck_cmd =
       | Nfc_mcheck.Explore.Wedged _, None -> exit 2
       | Nfc_mcheck.Explore.No_wedge _, _ -> exit 0
     end;
-    let outcome = Nfc_mcheck.Explore.find_phantom ~domains protocol bounds in
+    let outcome = Nfc_mcheck.Explore.find_phantom protocol bounds in
     Format.printf "%a@." Nfc_mcheck.Explore.pp_outcome outcome;
     match outcome with
     | Nfc_mcheck.Explore.Violation trace ->
@@ -274,7 +268,7 @@ let mcheck_cmd =
        ~doc:"Model-check a protocol over an adversarial non-FIFO channel (DL1 search)")
     Term.(
       const run $ with_spec protocol $ capacity $ submits $ nodes $ no_drop $ save
-      $ wedge $ engine_domains_arg $ por_arg)
+      $ wedge $ por_arg)
 
 (* ----------------------------------------------------------------- stab *)
 
@@ -293,30 +287,29 @@ let stab_cmd =
   in
   let nodes =
     Arg.(
-      value & opt int 100_000
+      value & opt positive_int 100_000
       & info [ "nodes" ] ~docv:"N" ~doc:"Legitimate-set configuration budget")
   in
   let recovery_nodes =
     Arg.(
-      value & opt int 300_000
+      value & opt positive_int 300_000
       & info [ "recovery-nodes" ] ~docv:"N"
           ~doc:"Configuration budget for each corrupted-start recovery sweep")
   in
   let starts =
     Arg.(
-      value & opt int 60_000
+      value & opt positive_int 60_000
       & info [ "starts" ] ~docv:"N" ~doc:"Clamp on enumerated corrupted starts")
   in
   let states =
     Arg.(
-      value & opt int 48
+      value & opt positive_int 48
       & info [ "states" ] ~docv:"N"
           ~doc:"Per-side clamp on station states entering corrupted products")
   in
   let no_drop = Arg.(value & flag & info [ "no-drop" ] ~doc:"Forbid packet loss (pure reordering)") in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable report") in
-  let run protocol capacity submits nodes recovery_nodes starts states no_drop json
-      engine_domains =
+  let run protocol capacity submits nodes recovery_nodes starts states no_drop json =
     let cfg =
       {
         Nfc_stab.Converge.bounds =
@@ -333,9 +326,7 @@ let stab_cmd =
         recovery_nodes;
       }
     in
-    let report =
-      Nfc_stab.Converge.analyze ~domains:(resolve_domains engine_domains) protocol cfg
-    in
+    let report = Nfc_stab.Converge.analyze protocol cfg in
     if json then print_endline (Nfc_util.Json.to_string (Nfc_stab.Converge.to_json report))
     else Format.printf "%a@." Nfc_stab.Converge.pp report;
     let worst =
@@ -354,7 +345,7 @@ let stab_cmd =
           within budget.")
     Term.(
       const run $ with_spec protocol $ capacity $ submits $ nodes $ recovery_nodes $ starts
-      $ states $ no_drop $ json $ engine_domains_arg)
+      $ states $ no_drop $ json)
 
 (* ------------------------------------------------------------ boundness *)
 
@@ -371,10 +362,9 @@ let boundness_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the report as a single JSON object")
   in
-  let run protocol nodes jobs engine_domains por json =
+  let run protocol nodes jobs por json =
     let report =
-      Nfc_mcheck.Boundness.measure ~jobs ~domains:(resolve_domains engine_domains)
-        protocol
+      Nfc_mcheck.Boundness.measure ~jobs protocol
         ~explore:
           {
             Nfc_mcheck.Explore.capacity_tr = 2;
@@ -394,8 +384,7 @@ let boundness_cmd =
     (Cmd.info "boundness"
        ~doc:"Measure a protocol's boundness against Theorem 2.1's k_t*k_r state product")
     Term.(
-      const run $ with_spec protocol $ nodes $ jobs_arg $ engine_domains_arg $ por_arg
-      $ json)
+      const run $ with_spec protocol $ nodes $ jobs_arg $ por_arg $ json)
 
 (* ------------------------------------------------------------- theorems *)
 
@@ -678,7 +667,7 @@ let lint_cmd =
              answer — refinement never weakens soundness.")
   in
   let run spec_path protocol capacity submits nodes strict json complete cover_nodes
-      sarif static stab refine jobs engine_domains por =
+      sarif static stab refine jobs por =
     let static = static || refine > 0 in
     let compiled =
       match spec_path with
@@ -715,7 +704,6 @@ let lint_cmd =
           };
         complete;
         cover_max_nodes = cover_nodes;
-        engine_domains = resolve_domains engine_domains;
       }
     in
     match
@@ -750,10 +738,7 @@ let lint_cmd =
               | Some p -> [ p ]
               | None -> Nfc_protocol.Registry.defaults ()
             in
-            List.map2
-              (fun spec r ->
-                Stab_tier.apply ~domains:(resolve_domains engine_domains) spec r)
-              specs results
+            List.map2 Stab_tier.apply specs results
           end
         in
         if json then print_string (Report.jsonl results) else Report.print results;
@@ -777,8 +762,7 @@ let lint_cmd =
         ^ "): header budgets, input-enabledness, Theorem 2.1 boundness certificates"))
     Term.(
       const run $ spec_path $ protocol $ capacity $ submits $ nodes $ strict $ json
-      $ complete $ cover_nodes $ sarif $ static $ stab $ refine $ jobs_arg
-      $ engine_domains_arg $ por_arg)
+      $ complete $ cover_nodes $ sarif $ static $ stab $ refine $ jobs_arg $ por_arg)
 
 (* ---------------------------------------------------------------- cover *)
 

@@ -26,7 +26,6 @@ type t = {
   strength : strength;
   rule_strengths : (string * strength) list;
   cover : cover_summary option;
-  engine_domains : int;
   por : bool;
   refine_rounds : int option;
       (* CEGAR provenance: how many abstraction-refinement rounds the
@@ -129,10 +128,9 @@ let to_json c =
                    | Bounded _ -> "bounded") ))
              c.rule_strengths) );
       ("cover", Json.opt cover_to_json c.cover);
-      (* Engine provenance: results are domain-count-invariant and POR
-         preserves the certified verdicts, but records say how they were
-         produced so differential gates can assert the invariance. *)
-      ("engine_domains", Json.Int c.engine_domains);
+      (* Engine provenance: POR preserves the certified verdicts, but
+         records say how they were produced so differential gates can
+         assert the invariance. *)
       ("por", Json.Bool c.por);
       ("refine_rounds", Json.opt (fun n -> Json.Int n) c.refine_rounds);
       ("stabilization", Json.opt (fun s -> Json.String s) c.stabilization);

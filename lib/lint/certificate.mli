@@ -55,9 +55,6 @@ type t = {
   rule_strengths : (string * strength) list;
       (** per-rule strength for the upgradable rules (H1, T1, Q1) *)
   cover : cover_summary option;  (** present when the cover tier ran *)
-  engine_domains : int;
-      (** intra-search domain count the exploration ran with; verdicts
-          are domain-count-invariant, recorded for provenance *)
   por : bool;  (** whether the exploration used lazy-drop POR *)
   refine_rounds : int option;
       (** CEGAR provenance: abstraction-refinement rounds the static tier

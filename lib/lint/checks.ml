@@ -12,7 +12,6 @@ type config = {
   max_witnesses : int;
   complete : bool;
   cover_max_nodes : int;
-  engine_domains : int;
   checkpoint : unit -> unit;
 }
 
@@ -45,7 +44,6 @@ let default_config =
        budget: converging protocols finish orders of magnitude below it,
        and only the hook-less flooding protocols ever hit it. *)
     cover_max_nodes = 200_000;
-    engine_domains = 1;
     checkpoint = (fun () -> ());
   }
 
@@ -128,9 +126,7 @@ module Make (P : Spec.S) = struct
     end in
     let module B = Boundness.Make (G) in
     let module E = B.E in
-    let reach =
-      E.reachable_set ~domains:cfg.engine_domains ~checkpoint:cfg.checkpoint cfg.bounds
-    in
+    let reach = E.reachable_set ~checkpoint:cfg.checkpoint cfg.bounds in
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
@@ -239,8 +235,8 @@ module Make (P : Spec.S) = struct
        registry protocols) — the gated pass then provably visits the same
        set, so boundness costs probes, not a second exploration. *)
     let breport =
-      B.measure ~max_probes:cfg.max_probes ~domains:cfg.engine_domains
-        ~checkpoint:cfg.checkpoint ~reach ~explore:cfg.bounds ~probe_bounds:cfg.probe ()
+      B.measure ~max_probes:cfg.max_probes ~checkpoint:cfg.checkpoint ~reach
+        ~explore:cfg.bounds ~probe_bounds:cfg.probe ()
     in
     (match breport.Boundness.boundness with
     | Some b when b > product ->
@@ -443,7 +439,6 @@ module Make (P : Spec.S) = struct
         strength = (if cfg.complete then strength else bounded);
         rule_strengths = !rule_strengths;
         cover = !cover_summary;
-        engine_domains = max 1 cfg.engine_domains;
         por = cfg.bounds.Explore.por;
         refine_rounds = None;
         stabilization = None;

@@ -26,13 +26,10 @@ type config = {
           upgrade corroborated H1/T1/Q1 verdicts to
           {!Certificate.Complete} strength *)
   cover_max_nodes : int;  (** divergence backstop for the cover fixpoint *)
-  engine_domains : int;
-      (** intra-search domain count for the exploration (1 = sequential);
-          diagnostics and certificates are byte-identical at any count *)
   checkpoint : unit -> unit;
       (** cooperative cancellation hook, called periodically from the
-          exploration (every level in parallel mode, every ~2k dequeues
-          sequentially); may raise to abort the analysis *)
+          exploration (every ~2k dequeues); may raise to abort the
+          analysis *)
 }
 
 val default_config : config

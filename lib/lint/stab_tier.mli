@@ -22,7 +22,6 @@ val diagnostics : Nfc_stab.Converge.report -> Diagnostic.t list
     result: SS1/SS2 diagnostics appended, [stabilization] certificate
     provenance set. *)
 val apply :
-  ?domains:int ->
   ?cfg:Nfc_stab.Converge.cfg ->
   Nfc_protocol.Spec.t ->
   Engine.result ->

@@ -15,7 +15,6 @@ type report = {
   boundness : int option;
   probes_exhausted : int;
   probes_skipped : int;
-  engine_domains : int;
   por : bool;
 }
 
@@ -41,7 +40,6 @@ let to_json r =
       ("boundness", J.opt (fun b -> J.Int b) r.boundness);
       ("probes_exhausted", J.Int r.probes_exhausted);
       ("probes_skipped", J.Int r.probes_skipped);
-      ("engine_domains", J.Int r.engine_domains);
       ("por", J.Bool r.por);
     ]
 
@@ -306,7 +304,7 @@ module Make (P : Spec.S) = struct
     List.iteri (fun rank (id, _) -> Hashtbl.replace ranks id rank) sorted;
     ranks
 
-  let measure ?max_probes ?(jobs = 1) ?(domains = 1) ?checkpoint ?reach
+  let measure ?max_probes ?(jobs = 1) ?checkpoint ?reach
       ~(explore : Explore.bounds) ~(probe_bounds : probe_bounds) () =
     (* A caller-supplied ungated exploration at the same bounds stands in
        for the gated pass exactly when it is phantom-free: then every
@@ -316,7 +314,7 @@ module Make (P : Spec.S) = struct
     let reach =
       match reach with
       | Some r when r.E.first_phantom = None -> r
-      | _ -> E.reachable_set ~deliver_valid_only:true ~domains ?checkpoint explore
+      | _ -> E.reachable_set ~deliver_valid_only:true ?checkpoint explore
     in
     let stats = reach.E.reach_stats in
     let semi_valid =
@@ -383,13 +381,12 @@ module Make (P : Spec.S) = struct
       boundness;
       probes_exhausted = exhausted;
       probes_skipped = skipped;
-      engine_domains = max 1 domains;
       por = explore.Explore.por;
     }
 end
 
-let measure ?max_probes ?jobs ?domains ?checkpoint (proto : Spec.t)
+let measure ?max_probes ?jobs ?checkpoint (proto : Spec.t)
     ~(explore : Explore.bounds) ~(probe : probe_bounds) =
   let module P = (val proto) in
   let module B = Make (P) in
-  B.measure ?max_probes ?jobs ?domains ?checkpoint ?reach:None ~explore ~probe_bounds:probe ()
+  B.measure ?max_probes ?jobs ?checkpoint ?reach:None ~explore ~probe_bounds:probe ()

@@ -36,10 +36,6 @@ type report = {
       (** semi-valid configurations not probed because [max_probes] ran
           out; when positive, [boundness] is a lower bound over the probed
           sample rather than the explored maximum *)
-  engine_domains : int;
-      (** intra-search domain count the exploration ran with (1 =
-          sequential); results are domain-count-invariant, recorded for
-          provenance *)
   por : bool;  (** whether the exploration used lazy-drop POR *)
 }
 
@@ -65,7 +61,6 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val measure :
     ?max_probes:int ->
     ?jobs:int ->
-    ?domains:int ->
     ?checkpoint:(unit -> unit) ->
     ?reach:E.reach ->
     explore:Explore.bounds ->
@@ -83,14 +78,11 @@ end
     [jobs] (default 1) fans the probes out over that many domains; each
     probe is self-contained, and the aggregation (max over costs, count of
     exhausted probes) is order-independent, so the report is identical at
-    any job count.  [domains] (default 1) instead parallelises {e inside}
-    the gated exploration ({!Explore.reachable_set}'s intra-search
-    engine) — also result-invariant.  [checkpoint] is the cooperative
-    cancellation hook threaded into the exploration. *)
+    any job count.  [checkpoint] is the cooperative cancellation hook
+    threaded into the exploration. *)
 val measure :
   ?max_probes:int ->
   ?jobs:int ->
-  ?domains:int ->
   ?checkpoint:(unit -> unit) ->
   Nfc_protocol.Spec.t ->
   explore:Explore.bounds ->

@@ -72,35 +72,10 @@ let intern_hashed (type a) (hash : a -> int) (equal : a -> a -> bool) : a -> int
         Hashtbl.replace tbl h ((v, id) :: bucket);
         id
 
-(* Minimal growable array (OCaml 5.1 has no stdlib Dynarray): the node
-   stores of the level-synchronised engine, where the frontier of level L
-   is the contiguous slice appended while finalising level L-1. *)
-module Vec = struct
-  type 'a t = { mutable arr : 'a array; mutable len : int; dummy : 'a }
-
-  let create dummy = { arr = Array.make 1024 dummy; len = 0; dummy }
-
-  let push t v =
-    if t.len >= Array.length t.arr then begin
-      let bigger = Array.make (2 * Array.length t.arr) t.dummy in
-      Array.blit t.arr 0 bigger 0 t.len;
-      t.arr <- bigger
-    end;
-    t.arr.(t.len) <- v;
-    t.len <- t.len + 1
-
-  let get t i = t.arr.(i)
-  let length t = t.len
-  let to_array t = Array.sub t.arr 0 t.len
-end
-
 module Make (P : Spec.S) = struct
   (* Each [Make] instantiation is one engine run with its own mutable
      intern tables; create engines inside the job that uses them and never
-     share one across domains.  (The multi-domain exploration below is
-     *internal* to a single entry-point call: workers synchronise on
-     [engine_lock] and level barriers, and the instance is still
-     single-caller.) *)
+     share one across domains. *)
 
   module Smap = Map.Make (struct
     type t = P.sender
@@ -156,13 +131,7 @@ module Make (P : Spec.S) = struct
      protocol call plus a structural hash.  (For instrumented specs that
      record exceptions, e.g. the linter's partiality probe, this means
      each distinct failing pair is recorded once rather than once per
-     visit.)
-
-     In multi-domain exploration these tables are the merged memo state:
-     workers front them with per-domain caches ([worker_ctx]) and fill
-     misses under [engine_lock], so a (state, input) pair still runs
-     protocol code exactly once engine-wide and every domain's cache
-     converges on the same entries at quiescence. *)
+     visit.) *)
   let memo tbl key f =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -274,60 +243,34 @@ module Make (P : Spec.S) = struct
   end
 
   module Ctbl = Hashtbl.Make (Chash)
-  module Cshards = Shards.Make (Chash)
 
-  module Pvtbl = Hashtbl.Make (struct
-    type t = Pvec.t
+  (* Channel moves on packet [id]: its delivery out of [c]'s channel, and
+     its drop when [drop] allows one.  Defined here, not inline in
+     [iter_successors], so the per-expansion closures capture four words
+     rather than five: that one word per closure moved the stab sweep's
+     peak RSS (stab-arq cap 2 plus stop-and-wait, 2-core x86 host) from
+     177 to 209 MB through the GC's pacing. *)
+  let deliver_tr drop c push id =
+    match Pvec.remove_one c.tr id with
+    | Some tr' ->
+        let pkt = Pvec.Index.packet pkts id in
+        let r', rid' = on_data c pkt in
+        push
+          (Some (Action.Receive_pkt (Action.T_to_r, pkt)))
+          { c with receiver = r'; rid = rid'; tr = tr' };
+        if drop then push (Some (Action.Drop_pkt (Action.T_to_r, pkt))) { c with tr = tr' }
+    | None -> ()
 
-    let equal = Pvec.equal
-    let hash = Pvec.hash
-  end)
-
-  (* One lock serialises every mutation of engine-shared mutable state
-     reachable from worker domains: the transition memo tables, the state
-     interners, the packet index, and the channel-vector interner below.
-     It is only ever taken on a worker-local cache miss, so at steady
-     state (caches warm) the parallel phases run lock-free. *)
-  let engine_lock = Mutex.create ()
-
-  (* Dense ids for channel vectors — the [tr]/[rt] fields of the packed
-     configuration key.  Assignment order is racy across runs (whichever
-     worker misses first), but the ids never reach any output: they exist
-     only inside packed visited-table keys, where only id *equality*
-     (= vector equality) matters. *)
-  let pvec_ids : int Pvtbl.t = Pvtbl.create 512
-  let pvec_count = ref 0
-
-  (* Successor enumeration is parameterised over how transition steps,
-     packet interning, and alphabet iteration are performed: the
-     sequential engine calls the memoised steps directly; parallel
-     workers route every shared-state touch through per-domain caches and
-     [engine_lock], and enumerate a level-start snapshot of the packet
-     alphabet (fresh packets interned mid-level cannot occur in any
-     current-level configuration's channels, so the snapshot enumerates
-     exactly the moves the live index would). *)
-  type step_ops = {
-    o_submit : config -> P.sender * int;
-    o_spoll : config -> int option * P.sender * int;
-    o_rpoll : config -> Spec.remit option * P.receiver * int;
-    o_ack : config -> int -> P.sender * int;
-    o_data : config -> int -> P.receiver * int;
-    o_pkt_id : int -> int;
-    o_packet : int -> int;
-    o_iter_ids : (int -> unit) -> unit;
-  }
-
-  let seq_ops =
-    {
-      o_submit = on_submit;
-      o_spoll = sender_poll;
-      o_rpoll = receiver_poll;
-      o_ack = on_ack;
-      o_data = on_data;
-      o_pkt_id = (fun pkt -> Pvec.Index.id pkts pkt);
-      o_packet = (fun id -> Pvec.Index.packet pkts id);
-      o_iter_ids = (fun f -> Pvec.Index.iter_by_value pkts f);
-    }
+  let deliver_rt drop c push id =
+    match Pvec.remove_one c.rt id with
+    | Some rt' ->
+        let pkt = Pvec.Index.packet pkts id in
+        let s', sid' = on_ack c pkt in
+        push
+          (Some (Action.Receive_pkt (Action.R_to_t, pkt)))
+          { c with sender = s'; sid = sid'; rt = rt' };
+        if drop then push (Some (Action.Drop_pkt (Action.R_to_t, pkt))) { c with rt = rt' }
+    | None -> ()
 
   (* Successors with the action that labels the move ([None] = silent).
      [deliver_valid_only] gates message delivery on a message actually
@@ -345,27 +288,27 @@ module Make (P : Spec.S) = struct
      capacity therefore preserves exactly the station-state/counter
      projections (phantom reachability, packet alphabet, boundness probe
      verdicts); see DESIGN §5.13 for the argument and the Q1 caveat. *)
-  let iter_successors_ops ops ?(deliver_valid_only = false) bounds c push =
+  let iter_successors ?(deliver_valid_only = false) bounds c push =
     (* User submission. *)
     if c.submitted < bounds.submit_budget then begin
-      let s', sid' = ops.o_submit c in
+      let s', sid' = on_submit c in
       push (Some (Action.Send_msg c.submitted))
         { c with sender = s'; sid = sid'; submitted = c.submitted + 1 }
     end;
     (* Sender poll: emission or silent tick. *)
-    (let emit, s', sid' = ops.o_spoll c in
+    (let emit, s', sid' = sender_poll c in
      match emit with
      | Some pkt ->
          if Pvec.cardinal c.tr < bounds.capacity_tr then
            push
              (Some (Action.Send_pkt (Action.T_to_r, pkt)))
-             { c with sender = s'; sid = sid'; tr = Pvec.add c.tr (ops.o_pkt_id pkt) }
+             { c with sender = s'; sid = sid'; tr = Pvec.add c.tr (Pvec.Index.id pkts pkt) }
      | None ->
          (* Interned-id equality is comparator equality, so this is the old
             [P.compare_sender s' c.sender <> 0] silent-tick test. *)
          if sid' <> c.sid then push None { c with sender = s'; sid = sid' });
     (* Receiver poll: delivery, reverse send, or silent tick. *)
-    (let emit, r', rid' = ops.o_rpoll c in
+    (let emit, r', rid' = receiver_poll c in
      match emit with
      | Some Spec.Rdeliver ->
          if (not deliver_valid_only) || c.delivered < c.submitted then
@@ -376,7 +319,7 @@ module Make (P : Spec.S) = struct
          if Pvec.cardinal c.rt < bounds.capacity_rt then
            push
              (Some (Action.Send_pkt (Action.R_to_t, pkt)))
-             { c with receiver = r'; rid = rid'; rt = Pvec.add c.rt (ops.o_pkt_id pkt) }
+             { c with receiver = r'; rid = rid'; rt = Pvec.add c.rt (Pvec.Index.id pkts pkt) }
      | None -> if rid' <> c.rid then push None { c with receiver = r'; rid = rid' });
     (* Adversarial channel: deliver any in-transit packet, either direction.
        Drops are unconditional normally, lazy (at-capacity only) under POR. *)
@@ -386,31 +329,8 @@ module Make (P : Spec.S) = struct
     let drop_rt =
       bounds.allow_drop && ((not bounds.por) || Pvec.cardinal c.rt >= bounds.capacity_rt)
     in
-    ops.o_iter_ids (fun id ->
-        match Pvec.remove_one c.tr id with
-        | Some tr' ->
-            let pkt = ops.o_packet id in
-            let r', rid' = ops.o_data c pkt in
-            push
-              (Some (Action.Receive_pkt (Action.T_to_r, pkt)))
-              { c with receiver = r'; rid = rid'; tr = tr' };
-            if drop_tr then
-              push (Some (Action.Drop_pkt (Action.T_to_r, pkt))) { c with tr = tr' }
-        | None -> ());
-    ops.o_iter_ids (fun id ->
-        match Pvec.remove_one c.rt id with
-        | Some rt' ->
-            let pkt = ops.o_packet id in
-            let s', sid' = ops.o_ack c pkt in
-            push
-              (Some (Action.Receive_pkt (Action.R_to_t, pkt)))
-              { c with sender = s'; sid = sid'; rt = rt' };
-            if drop_rt then
-              push (Some (Action.Drop_pkt (Action.R_to_t, pkt))) { c with rt = rt' }
-        | None -> ())
-
-  let iter_successors ?deliver_valid_only bounds c push =
-    iter_successors_ops seq_ops ?deliver_valid_only bounds c push
+    Pvec.Index.iter_by_value pkts (fun id -> deliver_tr drop_tr c push id);
+    Pvec.Index.iter_by_value pkts (fun id -> deliver_rt drop_rt c push id)
 
   let successors ?deliver_valid_only bounds c =
     let moves = ref [] in
@@ -446,7 +366,10 @@ module Make (P : Spec.S) = struct
      configurations and not just a counterexample search: the linter walks
      it to certify header budgets, probe input-enabledness and detect dead
      configurations; boundness measurement reuses it with
-     [~deliver_valid_only:true].
+     [~deliver_valid_only:true].  [from_configs] is the general form, seeded
+     from a caller-given configuration list (the self-stabilization tier's
+     corrupted starts, {!Nfc_stab.Converge}): seeds are visited at depth 0
+     in caller order, deduplicated; [reachable_set] seeds [initial].
 
      The sweep also scans for phantom deliveries as it generates
      successors.  [first_phantom] is the action count of the first move
@@ -460,7 +383,7 @@ module Make (P : Spec.S) = struct
      phantom move was generated before the point where {!search} would
      have exhausted its node budget, i.e. whether [search] would have
      returned [Violation] rather than [Node_budget]. *)
-  let seq_reachable_set ?deliver_valid_only ?(seeds = [ initial ]) ?size_hint ~checkpoint
+  let from_configs ?deliver_valid_only ?size_hint ?(checkpoint = default_checkpoint) ~seeds
       bounds =
     let sz = visited_size ?size_hint bounds in
     let visited = Ctbl.create sz in
@@ -518,9 +441,12 @@ module Make (P : Spec.S) = struct
       phantom_in_budget = !phantom_in_budget;
     }
 
+  let reachable_set ?deliver_valid_only ?size_hint ?checkpoint bounds =
+    from_configs ?deliver_valid_only ?size_hint ?checkpoint ~seeds:[ initial ] bounds
+
   type node = { cfg : config; parent : int; act : Action.t option; depth : int }
 
-  let seq_search ~stop_at_phantom ?size_hint ~checkpoint bounds =
+  let search ?(stop_at_phantom = true) ?size_hint ?(checkpoint = default_checkpoint) bounds =
     let nodes : node array ref =
       ref (Array.make 1024 { cfg = initial; parent = -1; act = None; depth = 0 })
     in
@@ -605,9 +531,7 @@ module Make (P : Spec.S) = struct
      ([deliver_valid_only] defaults to [true], matching the boundness
      semantics the static tier certifies) successor graph, checking
      [monitor] on every configuration in BFS generation order — so a
-     refutation comes with a shortest witness trace, and the result is
-     independent of the parallel engine's domain count by construction
-     (the replay is always sequential).  [Replay_upheld (_, truncated)]
+     refutation comes with a shortest witness trace.  [Replay_upheld (_, truncated)]
      with [truncated = true] means the node budget was exhausted before
      the frontier drained: the predicate held on everything explored but
      is not certified. *)
@@ -693,554 +617,9 @@ module Make (P : Spec.S) = struct
     | Some (trace, cfg) -> Replay_refuted (trace, cfg, stats)
     | None -> Replay_upheld (stats, !truncated)
 
-  (* ------------------------------------------------------------------ *)
-  (* Intra-search parallel core: level-synchronised BFS reproducing the
-     sequential engine's results byte-for-byte at any domain count.
-
-     Each level runs three phases.  Pass 1 (parallel, work-stealing over
-     contiguous parent blocks) expands every frontier configuration
-     against a read-only visited table and records candidate successors —
-     in enumeration order — into block-indexed buffers, so concatenating
-     the buffers in block order recovers exactly the order the sequential
-     loop would have generated them ("rank order").  Pass 2 (parallel,
-     ownership-striped) decides winners: each domain walks *all*
-     candidates in rank order but inserts only those routing to its own
-     shards, so every shard's insertions happen in rank order on a single
-     domain and the surviving candidate for each new configuration is
-     precisely the sequential first occurrence.  Pass 3 (sequential, on
-     the calling domain) replays the budget, truncation, phantom and
-     statistics bookkeeping over the rank-ordered candidates.
-
-     Determinism: level membership is order-independent (a BFS level is a
-     set), candidate rank reconstructs the sequential generation order
-     within the level, and all result-bearing state is written in pass 3
-     only.  Races that remain — which worker runs a block, shared-cache
-     fill order, interner id assignment — affect no observable output. *)
-
-  type worker_ctx = {
-    wk_submit : (int, P.sender * int) Hashtbl.t;
-    wk_spoll : (int, int option * P.sender * int) Hashtbl.t;
-    wk_rpoll : (int, Spec.remit option * P.receiver * int) Hashtbl.t;
-    wk_ack : (int * int, P.sender * int) Hashtbl.t;
-    wk_data : (int * int, P.receiver * int) Hashtbl.t;
-    wk_pkt : (int, int) Hashtbl.t;
-    wk_pvec : int Pvtbl.t;
-  }
-
-  let make_worker () =
-    {
-      wk_submit = Hashtbl.create 64;
-      wk_spoll = Hashtbl.create 64;
-      wk_rpoll = Hashtbl.create 64;
-      wk_ack = Hashtbl.create 128;
-      wk_data = Hashtbl.create 128;
-      wk_pkt = Hashtbl.create 32;
-      wk_pvec = Pvtbl.create 256;
-    }
-
-  (* Memoise through a worker-local front cache, filling misses from the
-     shared table under [engine_lock] (where [f] may also intern states —
-     every shared-state mutation stays inside the critical section). *)
-  let locked_memo local shared key f =
-    match Hashtbl.find_opt local key with
-    | Some v -> v
-    | None ->
-        let v =
-          Mutex.protect engine_lock (fun () ->
-              match Hashtbl.find_opt shared key with
-              | Some v -> v
-              | None ->
-                  let v = f () in
-                  Hashtbl.add shared key v;
-                  v)
-        in
-        Hashtbl.add local key v;
-        v
-
-  let worker_pkt_id wk pkt =
-    match Hashtbl.find_opt wk.wk_pkt pkt with
-    | Some id -> id
-    | None ->
-        let id = Mutex.protect engine_lock (fun () -> Pvec.Index.id pkts pkt) in
-        Hashtbl.add wk.wk_pkt pkt id;
-        id
-
-  let worker_pvec_id wk v =
-    match Pvtbl.find_opt wk.wk_pvec v with
-    | Some id -> id
-    | None ->
-        let id =
-          Mutex.protect engine_lock (fun () ->
-              match Pvtbl.find_opt pvec_ids v with
-              | Some id -> id
-              | None ->
-                  let id = !pvec_count in
-                  incr pvec_count;
-                  Pvtbl.add pvec_ids v id;
-                  id)
-        in
-        Pvtbl.add wk.wk_pvec v id;
-        id
-
-  let worker_ops wk ~ids_snap ~pkts_snap =
-    {
-      o_submit =
-        (fun c ->
-          locked_memo wk.wk_submit submit_memo c.sid (fun () ->
-              let s' = P.on_submit c.sender in
-              (s', intern_sender s')));
-      o_spoll =
-        (fun c ->
-          locked_memo wk.wk_spoll spoll_memo c.sid (fun () ->
-              let emit, s' = P.sender_poll c.sender in
-              (emit, s', intern_sender s')));
-      o_rpoll =
-        (fun c ->
-          locked_memo wk.wk_rpoll rpoll_memo c.rid (fun () ->
-              let emit, r' = P.receiver_poll c.receiver in
-              (emit, r', intern_receiver r')));
-      o_ack =
-        (fun c pkt ->
-          locked_memo wk.wk_ack ack_memo (c.sid, pkt) (fun () ->
-              let s' = P.on_ack c.sender pkt in
-              (s', intern_sender s')));
-      o_data =
-        (fun c pkt ->
-          locked_memo wk.wk_data data_memo (c.rid, pkt) (fun () ->
-              let r' = P.on_data c.receiver pkt in
-              (r', intern_receiver r')));
-      o_pkt_id = worker_pkt_id wk;
-      o_packet = (fun id -> pkts_snap.(id));
-      o_iter_ids = (fun f -> Array.iter f ids_snap);
-    }
-
-  (* Bit-packed configuration keys: when the bounds and the protocol's
-     declared state-encoding widths fit, a whole configuration packs into
-     one non-negative int — (submitted, delivered, sender id, receiver id,
-     interned tr vector, interned rt vector) — and the visited table
-     becomes an open-addressed int set with no boxing.  Field overflow at
-     runtime (an interner outgrowing its width) raises and the engine
-     restarts the attempt with the boxed fallback; the restart is
-     deterministic because whether any field ever overflows depends only
-     on the (race-invariant) explored set, and the partial warm-up it
-     leaves behind (memo entries, interned ids) is semantics-neutral. *)
-  exception Packed_overflow
-
-  type packing = {
-    p_sub_bits : int;
-    p_del_bits : int;
-    p_s_bits : int;
-    p_r_bits : int;
-    p_tr_bits : int;
-    p_rt_bits : int;
-  }
-
-  let bits_needed n =
-    let rec go b v = if v = 0 then max 1 b else go (b + 1) (v lsr 1) in
-    go 0 (max 0 n)
-
-  let packing_for bounds =
-    let sb = bits_needed bounds.submit_budget in
-    (* [delivered] is unbounded on phantom branches; give it headroom and
-       let runtime overflow fall back. *)
-    let db = sb + 2 in
-    let tr = 12 and rt = 12 in
-    let rem = 62 - sb - db - tr - rt in
-    (* Seed the state-id widths from the spec's own encoding-size hints
-       (bits for the initial state, the best static proxy available),
-       splitting the slack evenly; interners can outgrow them, which the
-       runtime check catches. *)
-    let hs = max 1 (P.sender_space_bits P.sender_init) in
-    let hr = max 1 (P.receiver_space_bits P.receiver_init) in
-    if rem < hs + hr then None
-    else
-      let s_bits = hs + ((rem - hs - hr) / 2) in
-      let r_bits = rem - s_bits in
-      Some
-        {
-          p_sub_bits = sb;
-          p_del_bits = db;
-          p_s_bits = s_bits;
-          p_r_bits = r_bits;
-          p_tr_bits = tr;
-          p_rt_bits = rt;
-        }
-
-  let pack pk ~sid ~rid ~tr_id ~rt_id ~submitted ~delivered =
-    let field v w = if v lsr w <> 0 then raise Packed_overflow else v in
-    let k = field submitted pk.p_sub_bits in
-    let k = (k lsl pk.p_del_bits) lor field delivered pk.p_del_bits in
-    let k = (k lsl pk.p_s_bits) lor field sid pk.p_s_bits in
-    let k = (k lsl pk.p_r_bits) lor field rid pk.p_r_bits in
-    let k = (k lsl pk.p_tr_bits) lor field tr_id pk.p_tr_bits in
-    (k lsl pk.p_rt_bits) lor field rt_id pk.p_rt_bits
-
-  type vtable =
-    | Vpacked of Shards.Packed.t * packing
-    | Vboxed of Cshards.t
-
-  let packed_key pk wk cfg =
-    let tr_id = worker_pvec_id wk cfg.tr in
-    let rt_id = worker_pvec_id wk cfg.rt in
-    pack pk ~sid:cfg.sid ~rid:cfg.rid ~tr_id ~rt_id ~submitted:cfg.submitted
-      ~delivered:cfg.delivered
-
-  let vt_probe vt wk cfg =
-    match vt with
-    | Vpacked (tbl, pk) ->
-        let key = packed_key pk wk cfg in
-        (key, Shards.Packed.mem tbl key)
-    | Vboxed tbl ->
-        let h = Chash.hash cfg in
-        (h, Cshards.mem tbl ~hash:h cfg)
-
-  let vt_shard vt key =
-    match vt with
-    | Vpacked (tbl, _) -> Shards.Packed.shard_of_key tbl key
-    | Vboxed tbl -> Cshards.shard_of tbl ~hash:key
-
-  let vt_add_owned vt cd_key cfg =
-    match vt with
-    | Vpacked (tbl, _) -> Shards.Packed.add_owned tbl cd_key
-    | Vboxed tbl -> Cshards.add_owned tbl ~hash:cd_key cfg
-
-  let vt_seed vt wk cfg =
-    let key, _ = vt_probe vt wk cfg in
-    ignore (vt_add_owned vt key cfg)
-
-  (* A candidate successor generated in pass 1.  Candidates are recorded
-     when unseen *or* phantom (the sequential loop phantom-checks every
-     generated successor, visited or not); seen non-phantom duplicates are
-     dropped at generation since the sequential [visit] ignores them. *)
-  type cand = {
-    cd_parent : int;  (* global node index of the parent *)
-    cd_act : Action.t option;
-    cd_cfg : config;
-    cd_key : int;  (* packed key, or [Chash.hash] in boxed mode *)
-    cd_phantom : bool;
-    cd_seen : bool;  (* visited-table hit at generation time *)
-    mutable cd_new : bool;  (* pass 2: won the insertion race-free *)
-  }
-
-  let dummy_cand =
-    {
-      cd_parent = -1;
-      cd_act = None;
-      cd_cfg = initial;
-      cd_key = 0;
-      cd_phantom = false;
-      cd_seen = true;
-      cd_new = false;
-    }
-
-  (* Below this frontier width, the two [Frontier.run] barriers of a level
-     cost more than the parallel expansion wins: run the level on the
-     calling domain instead.  Same candidate enumeration (worker ops over
-     the same snapshots), same first-occurrence insertion winners (a single
-     domain walking all candidates in rank order decides exactly what the
-     ownership stripes decide), so byte-identity at any domain count is
-     preserved — certified by the d1-vs-d4 CI gate. *)
-  let adaptive_threshold = 1024
-
-  (* Expand frontier slice [lo, hi) of the node store: pass 1 and pass 2
-     of the level.  Returns per-block candidate arrays; concatenated in
-     block order they are the level's candidates in rank order. *)
-  let expand_level pool wks vt ?deliver_valid_only bounds ~cfg_at ~lo ~hi ~insert =
-    let n = hi - lo in
-    let domains = Frontier.domains pool in
-    let ids_snap = Pvec.Index.snapshot_by_value pkts in
-    let pkts_snap = Pvec.Index.snapshot_packets pkts in
-    let expand_block wk ops b_lo b_hi =
-      let buf = Vec.create dummy_cand in
-      for p = b_lo to b_hi - 1 do
-        iter_successors_ops ops ?deliver_valid_only bounds (cfg_at p) (fun act cfg' ->
-            let phantom = cfg'.delivered > cfg'.submitted in
-            let key, seen = vt_probe vt wk cfg' in
-            if phantom || not seen then
-              Vec.push buf
-                {
-                  cd_parent = p;
-                  cd_act = act;
-                  cd_cfg = cfg';
-                  cd_key = key;
-                  cd_phantom = phantom;
-                  cd_seen = seen;
-                  cd_new = false;
-                })
-      done;
-      Vec.to_array buf
-    in
-    if n < adaptive_threshold || domains <= 1 then begin
-      (* Adaptive level split: no barriers, no stealing — one block,
-         expanded and inserted in rank order on the calling domain. *)
-      let wk = wks.(0) in
-      let cands = expand_block wk (worker_ops wk ~ids_snap ~pkts_snap) lo hi in
-      if insert then
-        Array.iter
-          (fun cd ->
-            if not cd.cd_seen then cd.cd_new <- vt_add_owned vt cd.cd_key cd.cd_cfg)
-          cands;
-      [| cands |]
-    end
-    else begin
-      let nblocks = min n (domains * 8) in
-      let out = Array.make nblocks [||] in
-      Frontier.run pool ~blocks:nblocks (fun ~worker ~block ->
-          let wk = wks.(worker) in
-          let ops = worker_ops wk ~ids_snap ~pkts_snap in
-          let b_lo = lo + (n * block / nblocks) in
-          let b_hi = lo + (n * (block + 1) / nblocks) in
-          out.(block) <- expand_block wk ops b_lo b_hi);
-      if insert then
-        Frontier.run pool ~blocks:domains (fun ~worker:_ ~block:role ->
-            Array.iter
-              (fun cands ->
-                Array.iter
-                  (fun cd ->
-                    if (not cd.cd_seen) && vt_shard vt cd.cd_key mod domains = role then
-                      cd.cd_new <- vt_add_owned vt cd.cd_key cd.cd_cfg)
-                  cands)
-              out);
-      out
-    end
-
-  let with_vtable ~size_hint bounds attempt =
-    match packing_for bounds with
-    | Some pk -> (
-        try attempt (Vpacked (Shards.Packed.create ~size_hint (), pk))
-        with Packed_overflow -> attempt (Vboxed (Cshards.create ~size_hint ())))
-    | None -> attempt (Vboxed (Cshards.create ~size_hint ()))
-
-  let parallel_reachable_set ?deliver_valid_only ?(seeds = [ initial ]) ~domains
-      ~size_hint ~checkpoint bounds =
-    let pool = Frontier.create ~domains in
-    Fun.protect ~finally:(fun () -> Frontier.shutdown pool) @@ fun () ->
-    let wks = Array.init domains (fun _ -> make_worker ()) in
-    let attempt vt =
-      let cfgs = Vec.create initial in
-      let acts = Vec.create 0 in
-      let senders = Hashtbl.create (state_tbl_size size_hint) in
-      let receivers = Hashtbl.create (state_tbl_size size_hint) in
-      let n_visited = ref 0 in
-      let max_depth = ref 0 in
-      let truncated = ref false in
-      (* Seed in caller order, deduplicating through the visited table —
-         the exact parallel image of the sequential seed loop, so the
-         config list stays byte-deterministic at any domain count. *)
-      List.iter
-        (fun c ->
-          let key, seen = vt_probe vt wks.(0) c in
-          if not seen then
-            if !n_visited >= bounds.max_nodes then truncated := true
-            else begin
-              ignore (vt_add_owned vt key c);
-              Vec.push cfgs c;
-              Vec.push acts 0;
-              Hashtbl.replace senders c.sid ();
-              Hashtbl.replace receivers c.rid ();
-              incr n_visited
-            end)
-        seeds;
-      let first_phantom = ref None in
-      let phantom_in_budget = ref false in
-      let level = ref 0 in
-      let lo = ref 0 in
-      let hi = ref (Vec.length cfgs) in
-      while !lo < !hi do
-        checkpoint ();
-        (* Budget already exhausted: the remaining frontier is expanded
-           scan-only (phantom/truncation detection), inserting nothing —
-           the sequential queue drain past the budget. *)
-        let scan_only = !n_visited >= bounds.max_nodes in
-        let out =
-          expand_level pool wks vt ?deliver_valid_only bounds ~cfg_at:(Vec.get cfgs)
-            ~lo:!lo ~hi:!hi ~insert:(not scan_only)
-        in
-        let cur_parent = ref (-1) in
-        let cur_in_budget = ref (!n_visited < bounds.max_nodes) in
-        Array.iter
-          (fun cands ->
-            Array.iter
-              (fun cd ->
-                if cd.cd_parent <> !cur_parent then begin
-                  (* Entering a parent group = the sequential dequeue of
-                     that parent: re-latch the budget flag. *)
-                  cur_parent := cd.cd_parent;
-                  cur_in_budget := !n_visited < bounds.max_nodes
-                end;
-                let acts' =
-                  Vec.get acts cd.cd_parent
-                  + (match cd.cd_act with Some _ -> 1 | None -> 0)
-                in
-                if !first_phantom = None && cd.cd_phantom then begin
-                  first_phantom := Some acts';
-                  phantom_in_budget := !cur_in_budget
-                end;
-                let is_new = if scan_only then not cd.cd_seen else cd.cd_new in
-                if is_new then
-                  if !n_visited >= bounds.max_nodes then truncated := true
-                  else begin
-                    Vec.push cfgs cd.cd_cfg;
-                    Vec.push acts acts';
-                    Hashtbl.replace senders cd.cd_cfg.sid ();
-                    Hashtbl.replace receivers cd.cd_cfg.rid ();
-                    incr n_visited;
-                    if !level + 1 > !max_depth then max_depth := !level + 1
-                  end)
-              cands)
-          out;
-        lo := !hi;
-        hi := Vec.length cfgs;
-        incr level
-      done;
-      let order = ref [] in
-      for i = Vec.length cfgs - 1 downto 0 do
-        order := Vec.get cfgs i :: !order
-      done;
-      {
-        configs = !order;
-        truncated = !truncated;
-        reach_stats =
-          {
-            nodes = !n_visited;
-            sender_states = Hashtbl.length senders;
-            receiver_states = Hashtbl.length receivers;
-            max_depth = !max_depth;
-          };
-        first_phantom = !first_phantom;
-        phantom_in_budget = !phantom_in_budget;
-      }
-    in
-    with_vtable ~size_hint bounds attempt
-
-  let parallel_search ~stop_at_phantom ~domains ~size_hint ~checkpoint bounds =
-    let pool = Frontier.create ~domains in
-    Fun.protect ~finally:(fun () -> Frontier.shutdown pool) @@ fun () ->
-    let wks = Array.init domains (fun _ -> make_worker ()) in
-    let attempt vt =
-      let cfgs = Vec.create initial in
-      let parents = Vec.create (-1) in
-      let pacts : Action.t option Vec.t = Vec.create None in
-      let senders = Hashtbl.create (state_tbl_size size_hint) in
-      let receivers = Hashtbl.create (state_tbl_size size_hint) in
-      vt_seed vt wks.(0) initial;
-      Vec.push cfgs initial;
-      Vec.push parents (-1);
-      Vec.push pacts None;
-      Hashtbl.replace senders initial.sid ();
-      Hashtbl.replace receivers initial.rid ();
-      let n_visited = ref 1 in
-      let max_depth = ref 0 in
-      let result = ref None in
-      let path_to idx =
-        let rec go idx acc =
-          if idx < 0 then acc
-          else
-            let acc = match Vec.get pacts idx with None -> acc | Some a -> a :: acc in
-            go (Vec.get parents idx) acc
-        in
-        go idx []
-      in
-      let level = ref 0 in
-      let lo = ref 0 in
-      let hi = ref 1 in
-      (try
-         while !lo < !hi do
-           checkpoint ();
-           let out =
-             expand_level pool wks vt bounds ~cfg_at:(Vec.get cfgs) ~lo:!lo ~hi:!hi
-               ~insert:true
-           in
-           let cur_parent = ref (-1) in
-           Array.iter
-             (fun cands ->
-               Array.iter
-                 (fun cd ->
-                   if cd.cd_parent <> !cur_parent then begin
-                     cur_parent := cd.cd_parent;
-                     (* The sequential engine budget-checks at every
-                        dequeue, before expanding; candidates of parents
-                        past the stop point were generated speculatively
-                        and are discarded with the search. *)
-                     if !n_visited >= bounds.max_nodes then raise Exit
-                   end;
-                   if stop_at_phantom && cd.cd_phantom then begin
-                     let final = match cd.cd_act with Some a -> [ a ] | None -> [] in
-                     result := Some (path_to cd.cd_parent @ final);
-                     raise Exit
-                   end;
-                   if cd.cd_new then begin
-                     (* [seq_search]'s visit appends unconditionally; the
-                        budget stop is at dequeue time only. *)
-                     Vec.push cfgs cd.cd_cfg;
-                     Vec.push parents cd.cd_parent;
-                     Vec.push pacts cd.cd_act;
-                     Hashtbl.replace senders cd.cd_cfg.sid ();
-                     Hashtbl.replace receivers cd.cd_cfg.rid ();
-                     incr n_visited;
-                     if !level + 1 > !max_depth then max_depth := !level + 1
-                   end)
-                 cands)
-             out;
-           lo := !hi;
-           hi := Vec.length cfgs;
-           incr level
-         done
-       with Exit -> ());
-      let stats =
-        {
-          nodes = !n_visited;
-          sender_states = Hashtbl.length senders;
-          receiver_states = Hashtbl.length receivers;
-          max_depth = !max_depth;
-        }
-      in
-      match !result with
-      | Some trace -> Violation trace
-      | None ->
-          if !n_visited >= bounds.max_nodes then Node_budget stats else No_violation stats
-    in
-    with_vtable ~size_hint bounds attempt
-
-  (* ------------------------------------------------------------------ *)
-  (* Public entry points: [domains <= 1] dispatches to the sequential
-     loops (no per-candidate overhead, no pool); [domains >= 2] to the
-     level-synchronised core, which reproduces their results exactly. *)
-
-  let reachable_set ?deliver_valid_only ?(domains = 1) ?size_hint
-      ?(checkpoint = default_checkpoint) bounds =
-    if domains <= 1 || bounds.max_nodes < 1 then
-      seq_reachable_set ?deliver_valid_only ?size_hint ~checkpoint bounds
-    else
-      parallel_reachable_set ?deliver_valid_only ~domains
-        ~size_hint:(visited_size ?size_hint bounds) ~checkpoint bounds
-
-  (* The corrupted-start entry point of the self-stabilization tier
-     ({!Nfc_stab.Converge}): the same BFS sweep, seeded from an enumerated
-     configuration list instead of [initial].  Seeds are visited at depth 0
-     in caller order (deduplicated); everything else — rank-ordered
-     finalisation, sharded visited table, phantom scan — is shared with
-     {!reachable_set}, so the result is byte-deterministic at any
-     [domains]. *)
-  let from_configs ?deliver_valid_only ?(domains = 1) ?size_hint
-      ?(checkpoint = default_checkpoint) ~seeds bounds =
-    if domains <= 1 || bounds.max_nodes < 1 then
-      seq_reachable_set ?deliver_valid_only ~seeds ?size_hint ~checkpoint bounds
-    else
-      parallel_reachable_set ?deliver_valid_only ~seeds ~domains
-        ~size_hint:(visited_size ?size_hint bounds) ~checkpoint bounds
-
-  let search ?(stop_at_phantom = true) ?(domains = 1) ?size_hint
-      ?(checkpoint = default_checkpoint) bounds =
-    if domains <= 1 || bounds.max_nodes < 1 then
-      seq_search ~stop_at_phantom ?size_hint ~checkpoint bounds
-    else
-      parallel_search ~stop_at_phantom ~domains
-        ~size_hint:(visited_size ?size_hint bounds) ~checkpoint bounds
-
   (* Liveness: explore the graph fully (within budget), then propagate
      "can eventually deliver" backwards.  A semi-valid configuration not
-     reached by the propagation is wedged.  Frontier (unexpanded) nodes
+     reached by the propagation is wedged.  Unexpanded (frontier) nodes
      are conservatively assumed able to deliver.
 
      Runs POR-off regardless of [bounds.por]: lazy dropping preserves
@@ -1352,15 +731,15 @@ module Make (P : Spec.S) = struct
         Wedged (path id [], stats)
 end
 
-let find_phantom ?domains (proto : Spec.t) bounds =
+let find_phantom (proto : Spec.t) bounds =
   let module P = (val proto) in
   let module E = Make (P) in
-  E.search ~stop_at_phantom:true ?domains bounds
+  E.search ~stop_at_phantom:true bounds
 
-let reachable ?domains (proto : Spec.t) bounds =
+let reachable (proto : Spec.t) bounds =
   let module P = (val proto) in
   let module E = Make (P) in
-  match E.search ~stop_at_phantom:false ?domains bounds with
+  match E.search ~stop_at_phantom:false bounds with
   | Violation _ -> assert false
   | No_violation s | Node_budget s -> s
 

@@ -70,14 +70,12 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** Search for a reachable DL1 violation (phantom delivery).  [domains]
-    (default 1) selects the intra-search parallel engine; results are
-    byte-identical at any domain count. *)
-val find_phantom : ?domains:int -> Nfc_protocol.Spec.t -> bounds -> outcome
+(** Search for a reachable DL1 violation (phantom delivery). *)
+val find_phantom : Nfc_protocol.Spec.t -> bounds -> outcome
 
 (** Explore the whole bounded space (no goal) and report statistics —
     in particular the k_t and k_r of Theorem 2.1. *)
-val reachable : ?domains:int -> Nfc_protocol.Spec.t -> bounds -> stats
+val reachable : Nfc_protocol.Spec.t -> bounds -> stats
 
 type wedge_outcome =
   | Wedged of Nfc_automata.Execution.t * stats
@@ -206,53 +204,44 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       {!search} pass), and — when phantom-free — the boundness
       measurement's gated exploration.
 
-      [domains] (default 1) runs the level-synchronised intra-search
-      parallel core: bit-packed (or boxed-fallback) sharded visited
-      table, work-stealing frontier, and a sequential rank-order
-      finalisation that reproduces the sequential engine's
-      configurations, statistics, truncation and phantom bookkeeping
-      byte-for-byte at any domain count.  [size_hint] pre-sizes the
-      visited table (default: scaled to [max_nodes]).  [checkpoint] is
-      called periodically from the exploring domain (every level in
-      parallel mode, every ~2k dequeues sequentially) — the cooperative
-      cancellation hook; it may raise to abort the exploration. *)
+      [size_hint] pre-sizes the visited table (default: scaled to
+      [max_nodes]).  [checkpoint] is called every ~2k dequeues — the
+      cooperative cancellation hook; it may raise to abort the
+      exploration. *)
   val reachable_set :
     ?deliver_valid_only:bool ->
-    ?domains:int ->
     ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
     bounds ->
     reach
 
   (** Corrupted-start exploration (the self-stabilization tier's sweep):
-      the same breadth-first machinery as {!reachable_set}, seeded from an
-      enumerated configuration list instead of [initial].  Seeds are
-      visited at depth 0 in caller order, deduplicated through the visited
-      table; the returned [configs] list (seed order, then rank order per
-      level) is byte-deterministic at any [domains] count.  A seed list
-      longer than [max_nodes] truncates. *)
+      {!reachable_set} seeded from an enumerated configuration list
+      instead of [initial].  Seeds are visited at depth 0 in caller order,
+      deduplicated through the visited table, so [configs] lists the
+      distinct seeds first, then the BFS levels.  A seed list longer than
+      [max_nodes] truncates.  [from_configs ~seeds:[initial]] is
+      [reachable_set]. *)
   val from_configs :
     ?deliver_valid_only:bool ->
-    ?domains:int ->
     ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
     seeds:config list ->
     bounds ->
     reach
 
-  (** BFS counterexample search; same [domains]/[size_hint]/[checkpoint]
-      contract as {!reachable_set}. *)
+  (** BFS counterexample search; same [size_hint]/[checkpoint] contract as
+      {!reachable_set}. *)
   val search :
     ?stop_at_phantom:bool ->
-    ?domains:int ->
     ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
     bounds ->
     outcome
 
-  (** Wedge (stuck-configuration) search.  Always sequential and always
-      POR-off (see {!type:bounds}): the lazy-drop reduction does not
-      preserve the wedge analysis. *)
+  (** Wedge (stuck-configuration) search.  Always POR-off (see
+      {!type:bounds}): the lazy-drop reduction does not preserve the
+      wedge analysis. *)
   val find_wedge_search :
     ?size_hint:int -> ?checkpoint:(unit -> unit) -> bounds -> wedge_outcome
 
@@ -270,8 +259,7 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       ([deliver_valid_only] defaults to [true] — the boundness semantics
       the static tier certifies) successor graph, evaluating [monitor] on
       every configuration in BFS generation order.  A refutation therefore
-      carries a shortest witness trace.  Always sequential, so the result
-      is domain-count-invariant by construction. *)
+      carries a shortest witness trace. *)
   val replay_monitor :
     ?deliver_valid_only:bool ->
     ?size_hint:int ->

@@ -62,21 +62,6 @@ module Index = struct
      enumerate channel moves in exactly the order the Multiset-backed
      engine did (its [support] was value-sorted), preserving BFS order. *)
   let iter_by_value t f = Array.iter f t.by_value
-
-  (* An immutable snapshot of the value-ordered view, for exploration
-     phases that must keep enumerating a fixed alphabet while another
-     domain may be interning fresh packets.  Ids interned after the
-     snapshot name packets no pre-snapshot configuration can carry, so
-     enumerating the snapshot visits exactly the moves [iter_by_value]
-     would have. *)
-  let snapshot_by_value t = Array.copy t.by_value
-
-  (* The matching decode snapshot (index = id, value = packet) for the
-     same phases: reading [packet] while another domain interns would race
-     on the growable [packets] array, but every id a pre-snapshot
-     configuration can mention is below the snapshot size, so a prefix
-     copy taken at the barrier decodes them all. *)
-  let snapshot_packets t = Array.sub t.packets 0 t.n
 end
 
 type t = { counts : int array; card : int }

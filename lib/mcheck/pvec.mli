@@ -28,19 +28,6 @@ module Index : sig
       enumeration order of [Multiset.support], so the hashed engine visits
       configurations in exactly the tree-based engine's BFS order. *)
   val iter_by_value : t -> (int -> unit) -> unit
-
-  (** Immutable snapshot of the value-ordered id view.  Parallel
-      exploration phases enumerate a level-start snapshot so concurrent
-      interning of fresh packets (which no pre-snapshot configuration can
-      carry) never perturbs move enumeration. *)
-  val snapshot_by_value : t -> int array
-
-  (** Immutable id-indexed decode snapshot ([(snapshot_packets t).(id)] is
-      the packet value of [id]).  Taken at the same barrier as
-      {!snapshot_by_value}: pre-snapshot configurations only mention
-      pre-snapshot ids, so the prefix copy decodes every id a parallel
-      phase can encounter without racing the growable internals. *)
-  val snapshot_packets : t -> int array
 end
 
 type t

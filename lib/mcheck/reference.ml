@@ -428,8 +428,6 @@ module Make (P : Spec.S) = struct
       boundness = !boundness;
       probes_exhausted = !exhausted;
       probes_skipped = !skipped;
-      (* The tree-based oracle is sequential by construction. *)
-      engine_domains = 1;
       por = explore.Explore.por;
     }
 end

@@ -36,8 +36,7 @@
    converged re-run is a genuine over-approximating fixpoint whatever
    targets steered it.  The replay only (a) filters candidates so we
    don't burn rounds on refuted invariants and (b) produces the concrete
-   traces behind R1.  The replay itself is always sequential, so every
-   refined verdict is byte-identical at any [--engine-domains] count. *)
+   traces behind R1. *)
 
 module Ast = Nfc_pdl.Ast
 module Check = Nfc_pdl.Check

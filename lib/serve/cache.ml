@@ -40,7 +40,6 @@ type entry = {
   mutable bound_memo : (string * Boundness.report) list;
   mutable cover_memo : (string * Cover.stats) list;
   bound_run :
-    domains:int ->
     checkpoint:(unit -> unit) ->
     Explore.bounds ->
     Boundness.probe_bounds ->
@@ -69,15 +68,12 @@ let make_entry proto =
   let module B = Boundness.Make (P) in
   let module C = Cover.Make (P) (B.E) in
   let reach_memo : (string, B.E.reach) Hashtbl.t = Hashtbl.create 4 in
-  (* Keyed by bounds alone, NOT by domain count: the intra-search engine
-     is byte-deterministic at any count, so a reach computed at
-     [domains=4] is the one a sequential run would have produced. *)
-  let reach ~domains ~checkpoint bounds =
+  let reach ~checkpoint bounds =
     let key = Explore.bounds_key bounds in
     match Hashtbl.find_opt reach_memo key with
     | Some r -> r
     | None ->
-        let r = B.E.reachable_set ~domains ~checkpoint bounds in
+        let r = B.E.reachable_set ~checkpoint bounds in
         Hashtbl.add reach_memo key r;
         r
   in
@@ -87,10 +83,8 @@ let make_entry proto =
     bound_memo = [];
     cover_memo = [];
     bound_run =
-      (fun ~domains ~checkpoint explore probe ->
-        B.measure ~domains ~checkpoint
-          ~reach:(reach ~domains ~checkpoint explore)
-          ~explore ~probe_bounds:probe ());
+      (fun ~checkpoint explore probe ->
+        B.measure ~checkpoint ~reach:(reach ~checkpoint explore) ~explore ~probe_bounds:probe ());
     cover_run = (fun ~submit_budget ~max_nodes -> C.run ~max_nodes ~submit_budget ());
   }
 
@@ -170,18 +164,15 @@ let memoized t e get set key compute =
           set ((key, v) :: get ());
           v)
 
-(* [engine_domains] is in the key even though verdicts are
-   domain-invariant: it appears verbatim in the emitted certificate, so a
-   hit across counts would report the wrong provenance.  [checkpoint] is
-   excluded — it can only abort a computation, never change its value
-   (an aborted compute is not memoized at all). *)
+(* [checkpoint] is excluded from the key — it can only abort a
+   computation, never change its value (an aborted compute is not
+   memoized at all). *)
 let lint_key (cfg : Nfc_lint.Checks.config) =
-  Printf.sprintf "%s/p%d:%d/mp%d/f%s/ms%d/w%d/c%b/cn%d/d%d"
+  Printf.sprintf "%s/p%d:%d/mp%d/f%s/ms%d/w%d/c%b/cn%d"
     (Explore.bounds_key cfg.bounds)
     cfg.probe.Boundness.max_nodes cfg.probe.Boundness.max_cost cfg.max_probes
     (String.concat "," (List.map string_of_int cfg.fault_packets))
     cfg.max_probe_states cfg.max_witnesses cfg.complete cfg.cover_max_nodes
-    cfg.engine_domains
 
 let lint ?key t proto cfg =
   let e = entry ?key t proto in
@@ -191,17 +182,17 @@ let lint ?key t proto cfg =
     (lint_key cfg)
     (fun () -> Nfc_lint.Engine.run cfg proto)
 
-let boundness ?key t proto ~domains ~checkpoint ~explore ~probe =
+let boundness ?key t proto ~checkpoint ~explore ~probe =
   let e = entry ?key t proto in
   let key =
-    Printf.sprintf "%s/p%d:%d/d%d" (Explore.bounds_key explore)
-      probe.Boundness.max_nodes probe.Boundness.max_cost domains
+    Printf.sprintf "%s/p%d:%d" (Explore.bounds_key explore) probe.Boundness.max_nodes
+      probe.Boundness.max_cost
   in
   memoized t e
     (fun () -> e.bound_memo)
     (fun m -> e.bound_memo <- m)
     key
-    (fun () -> e.bound_run ~domains ~checkpoint explore probe)
+    (fun () -> e.bound_run ~checkpoint explore probe)
 
 let cover ?key t proto ~submit_budget ~max_nodes =
   let e = entry ?key t proto in

@@ -46,15 +46,12 @@ val spec_count : t -> int
 val lint :
   ?key:string -> t -> Nfc_protocol.Spec.t -> Nfc_lint.Checks.config -> Nfc_lint.Engine.result
 
-(** [domains] is the intra-search parallelism for a cache miss (memo keys
-    include it because the report records it as provenance); [checkpoint]
-    is the requester's cancellation hook, called from inside the
-    exploration on a miss and never on a hit. *)
+(** [checkpoint] is the requester's cancellation hook, called from inside
+    the exploration on a miss and never on a hit. *)
 val boundness :
   ?key:string ->
   t ->
   Nfc_protocol.Spec.t ->
-  domains:int ->
   checkpoint:(unit -> unit) ->
   explore:Nfc_mcheck.Explore.bounds ->
   probe:Nfc_mcheck.Boundness.probe_bounds ->

@@ -114,7 +114,6 @@ let lint ctx : Router.handler =
      let* cover_nodes =
        get_clamped ~lo:1 ~hi:2_000_000 ~default:200_000 "cover_nodes" body
      in
-     let* engine_domains = get_clamped ~lo:1 ~hi:8 ~default:1 "engine_domains" body in
      let* por = J.get_bool ~default:false "por" body in
      let* stab = J.get_bool ~default:false "stab" body in
      let cfg =
@@ -131,7 +130,6 @@ let lint ctx : Router.handler =
            };
          complete;
          cover_max_nodes = cover_nodes;
-         engine_domains;
        }
      in
      Ok
@@ -152,10 +150,7 @@ let lint ctx : Router.handler =
             (* The stabilization tier rides outside the cache (it is not
                part of the cache key) and runs at its own bounds — see
                [Nfc_lint.Stab_tier]. *)
-            let result =
-              if stab then Nfc_lint.Stab_tier.apply ~domains:engine_domains proto result
-              else result
-            in
+            let result = if stab then Nfc_lint.Stab_tier.apply proto result else result in
             (* One line of [nfc lint --json], sans the newline. *)
             chomp (Nfc_lint.Report.jsonl [ result ]))))
 
@@ -229,7 +224,6 @@ let boundness ctx : Router.handler =
      let* nodes = get_clamped ~lo:1 ~hi:2_000_000 ~default:30_000 "nodes" body in
      let* capacity = get_clamped ~lo:1 ~hi:8 ~default:2 "capacity" body in
      let* submits = get_clamped ~lo:0 ~hi:16 ~default:2 "submits" body in
-     let* engine_domains = get_clamped ~lo:1 ~hi:8 ~default:1 "engine_domains" body in
      let* por = J.get_bool ~default:false "por" body in
      let explore =
        {
@@ -246,7 +240,7 @@ let boundness ctx : Router.handler =
           ~compute:(fun ~cancelled ->
             check_cancelled cancelled;
             let report =
-              Cache.boundness ?key ctx.cache proto ~domains:engine_domains
+              Cache.boundness ?key ctx.cache proto
                 ~checkpoint:(fun () -> check_cancelled cancelled)
                 ~explore ~probe:Nfc_mcheck.Boundness.default_probe_bounds
             in

@@ -18,11 +18,10 @@
     but not the exact configuration set, and legitimacy is membership in
     that set.
 
-    Determinism contract: every field of {!report} — including witness
-    traces and configuration prints — is byte-identical at any [domains]
-    count.  Station states and the packet alphabet are read off the
-    (deterministic) configuration lists, never off the interner, whose
-    id assignment order is racy under parallel exploration. *)
+    Station states and the packet alphabet are read off the BFS-ordered
+    configuration lists, so every field of {!report} — including witness
+    traces and configuration prints — is a function of the protocol and
+    [cfg] alone. *)
 
 module Explore = Nfc_mcheck.Explore
 module Pvec = Nfc_mcheck.Pvec
@@ -98,7 +97,7 @@ type report = {
   ss2_convergence : convergence option;  (** the dup-exit re-convergence run *)
 }
 
-let analyze ?(domains = 1) (spec : Spec.t) cfg =
+let analyze (spec : Spec.t) cfg =
   let module P = (val spec : Spec.S) in
   let module E = Explore.Make (P) in
   if cfg.bounds.Explore.max_nodes < 1 then invalid_arg "Converge.analyze: max_nodes must be >= 1";
@@ -110,7 +109,7 @@ let analyze ?(domains = 1) (spec : Spec.t) cfg =
     { lbounds with Explore.submit_budget = 0; max_nodes = cfg.recovery_nodes }
   in
   (* 1. The legitimate set. *)
-  let lreach = E.reachable_set ~domains lbounds in
+  let lreach = E.reachable_set lbounds in
   let legit = Array.of_list lreach.E.configs in
   let legit_closed = not lreach.E.truncated in
   (* Full-configuration hashing; legitimacy lives on the counter-free
@@ -226,7 +225,7 @@ let analyze ?(domains = 1) (spec : Spec.t) cfg =
      not truncated. *)
   let measure seeds =
     let n_seeds = List.length seeds in
-    let rreach = E.from_configs ~domains ~seeds rbounds in
+    let rreach = E.from_configs ~seeds rbounds in
     let v = Array.of_list rreach.E.configs in
     let n = Array.length v in
     let idx = Ctbl.create (n * 2) in
@@ -470,9 +469,6 @@ let conv_to_json cv =
       ("divergent_stuck", Json.Bool cv.divergent_stuck);
     ]
 
-(* Provenance note: unlike the lint certificate, this record carries no
-   engine_domains field — stabilization reports are byte-identical at
-   any domain count, and the CI gate diffs them without normalization. *)
 let to_json r =
   Json.Obj
     [

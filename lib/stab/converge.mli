@@ -16,10 +16,7 @@
       delivery — a station step on an in-transit packet that is not
       consumed — applied inside L may exit L; every such exit must
       re-converge.  Duplication edges only shorten recovery distances,
-      so given SS1 the exits are the single new obligation.
-
-    Every field of a {!report}, including witness traces, is
-    byte-identical at any [domains] count. *)
+      so given SS1 the exits are the single new obligation. *)
 
 type cfg = {
   bounds : Nfc_mcheck.Explore.bounds;
@@ -75,10 +72,10 @@ type report = {
   ss2_convergence : convergence option;  (** the dup-exit re-convergence run *)
 }
 
-(** Run the full analysis.  [domains] selects the parallel exploration
-    engine for both the legitimate and the recovery sweeps; the report
-    is byte-identical at any value. *)
-val analyze : ?domains:int -> Nfc_protocol.Spec.t -> cfg -> report
+(** Run the full analysis.  Raises [Invalid_argument] when a budget in
+    [cfg] ([bounds.max_nodes], [state_cap], [max_starts],
+    [recovery_nodes]) is below 1. *)
+val analyze : Nfc_protocol.Spec.t -> cfg -> report
 
 (** The certified SS1 convergence bound — [Some] exactly when SS1 passed. *)
 val convergence_bound : report -> int option
@@ -87,9 +84,7 @@ val convergence_bound : report -> int option
     passed ([Some 0] when L is closed under duplication). *)
 val ss2_bound : report -> int option
 
-(** Machine-readable report.  Deliberately carries no engine-domains
-    provenance: the CI determinism gate byte-diffs two runs without
-    normalization. *)
+(** Machine-readable report. *)
 val to_json : report -> Nfc_util.Json.t
 
 val pp : Format.formatter -> report -> unit
