@@ -41,15 +41,29 @@ let spec_conv =
   in
   Arg.conv (parse, fun ppf p -> Format.pp_print_string ppf (Nfc_protocol.Spec.name p))
 
-(* Budgets that must be at least 1: a zero is a usage error (exit 124
-   naming the option), not an exception escaping the analysis. *)
-let positive_int =
+(* Budgets with a lower bound (the service's [get_clamped ~lo]): a value
+   below it is a usage error (exit 124 naming the option), not an
+   exception escaping the analysis or a verdict over nothing. *)
+let int_at_least lo expected =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "a positive integer"
+let non_negative_int = int_at_least 0 "a non-negative integer"
+
+let capacity_arg default =
+  Arg.(
+    value & opt positive_int default
+    & info [ "capacity" ] ~docv:"C" ~doc:"Channel capacity per direction")
+
+let submits_arg default =
+  Arg.(
+    value & opt non_negative_int default
+    & info [ "submits" ] ~docv:"S" ~doc:"User submission budget")
 
 let spec_arg =
   Arg.(
@@ -207,14 +221,11 @@ let mcheck_cmd =
       & opt protocol_conv (Nfc_protocol.Alternating_bit.make ~timeout:2 ())
       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:protocol_doc)
   in
-  let capacity =
-    Arg.(value & opt int 2 & info [ "capacity" ] ~docv:"C" ~doc:"Channel capacity per direction")
-  in
-  let submits =
-    Arg.(value & opt int 3 & info [ "submits" ] ~docv:"S" ~doc:"User submission budget")
-  in
+  let capacity = capacity_arg 2 in
+  let submits = submits_arg 3 in
   let nodes =
-    Arg.(value & opt int 200_000 & info [ "nodes" ] ~docv:"N" ~doc:"Configuration budget")
+    Arg.(
+      value & opt positive_int 200_000 & info [ "nodes" ] ~docv:"N" ~doc:"Configuration budget")
   in
   let no_drop = Arg.(value & flag & info [ "no-drop" ] ~doc:"Forbid packet loss (pure reordering)") in
   let save =
@@ -279,12 +290,8 @@ let stab_cmd =
       & opt protocol_conv (Nfc_protocol.Stab_arq.make ())
       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:protocol_doc)
   in
-  let capacity =
-    Arg.(value & opt int 1 & info [ "capacity" ] ~docv:"C" ~doc:"Channel capacity per direction")
-  in
-  let submits =
-    Arg.(value & opt int 2 & info [ "submits" ] ~docv:"S" ~doc:"User submission budget")
-  in
+  let capacity = capacity_arg 1 in
+  let submits = submits_arg 2 in
   let nodes =
     Arg.(
       value & opt positive_int 100_000
@@ -357,7 +364,8 @@ let boundness_cmd =
       & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc:protocol_doc)
   in
   let nodes =
-    Arg.(value & opt int 30_000 & info [ "nodes" ] ~docv:"N" ~doc:"Configuration budget")
+    Arg.(
+      value & opt positive_int 30_000 & info [ "nodes" ] ~docv:"N" ~doc:"Configuration budget")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the report as a single JSON object")
@@ -575,15 +583,11 @@ let lint_cmd =
       & info [ "p"; "protocol" ] ~docv:"PROTO"
           ~doc:(protocol_doc ^ " (default: the whole registry)"))
   in
-  let capacity =
-    Arg.(value & opt int 2 & info [ "capacity" ] ~docv:"C" ~doc:"Channel capacity per direction")
-  in
-  let submits =
-    Arg.(value & opt int 3 & info [ "submits" ] ~docv:"S" ~doc:"User submission budget")
-  in
+  let capacity = capacity_arg 2 in
+  let submits = submits_arg 3 in
   let nodes =
     Arg.(
-      value & opt int 100_000
+      value & opt positive_int 100_000
       & info [ "nodes" ] ~docv:"N"
           ~doc:
             "Configuration budget per protocol (the hashed engine covers the default \
@@ -606,7 +610,7 @@ let lint_cmd =
   in
   let cover_nodes =
     Arg.(
-      value & opt int 200_000
+      value & opt positive_int 200_000
       & info [ "cover-nodes" ] ~docv:"N"
           ~doc:"Divergence backstop for the --complete cover fixpoint")
   in
@@ -779,12 +783,10 @@ let cover_cmd =
       & pos 0 (some protocol_conv) None
       & info [] ~docv:"PROTO" ~doc:"Protocol (positional alternative to -p)")
   in
-  let submits =
-    Arg.(value & opt int 3 & info [ "submits" ] ~docv:"S" ~doc:"User submission budget")
-  in
+  let submits = submits_arg 3 in
   let nodes =
     Arg.(
-      value & opt int 200_000
+      value & opt positive_int 200_000
       & info [ "nodes" ] ~docv:"N" ~doc:"Karp-Miller tree cap (divergence backstop)")
   in
   let run protocol positional submits nodes =

@@ -49,218 +49,82 @@ module Make (P : Spec.S) = struct
      valid executions, never down phantom branches. *)
   module E = Explore.Make (P)
 
-  let equal_sender a b = P.compare_sender a b = 0
-  let equal_receiver a b = P.compare_receiver a b = 0
-
-  module Smap = Map.Make (struct
-    type t = P.sender
-
-    let compare = P.compare_sender
-  end)
-
-  module Rmap = Map.Make (struct
-    type t = P.receiver
-
-    let compare = P.compare_receiver
-  end)
-
-  let fresh_intern_sender () =
-    match P.hash_sender with
-    | Some h -> Explore.intern_hashed h equal_sender
-    | None ->
-        let m = ref Smap.empty in
-        let n = ref 0 in
-        fun v ->
-          (match Smap.find_opt v !m with
-          | Some id -> id
-          | None ->
-              let id = !n in
-              incr n;
-              m := Smap.add v id !m;
-              id)
-
-  let fresh_intern_receiver () =
-    match P.hash_receiver with
-    | Some h -> Explore.intern_hashed h equal_receiver
-    | None ->
-        let m = ref Rmap.empty in
-        let n = ref 0 in
-        fun v ->
-          (match Rmap.find_opt v !m with
-          | Some id -> id
-          | None ->
-              let id = !n in
-              incr n;
-              m := Rmap.add v id !m;
-              id)
-
-  module Ptbl = Hashtbl.Make (struct
-    type t = int * int * Pvec.t * Pvec.t
-
-    let equal (s1, r1, tr1, rt1) (s2, r2, tr2, rt2) =
-      s1 = s2 && r1 = r2 && Pvec.equal tr1 tr2 && Pvec.equal rt1 rt2
-
-    let hash (s, r, tr, rt) =
-      let h = (s * 1000003) lxor r in
-      let h = (h * 1000003) lxor Pvec.hash tr in
-      let h = (h * 1000003) lxor Pvec.hash rt in
-      h land max_int
-  end)
-
-  (* A probe context: interners, packet index and transition memos shared
-     by one worker's batch of probes.  Probes never share a context
-     across domains; sharing within a worker makes each repeated
-     (state, input) transition a small-int table probe (exactly the
-     engine's memoization, rebuilt here because probe states live in
-     their own id space).  Sharing cannot change results: each probe
-     still has its own visited table, and vectors only ever see ids the
-     probe itself added. *)
-  type ctx = {
-    intern_s : P.sender -> int;
-    intern_r : P.receiver -> int;
-    pkts : Pvec.Index.t;
-    spoll_memo : (int, int option * P.sender * int) Hashtbl.t;
-    rpoll_memo : (int, Spec.remit option * P.receiver * int) Hashtbl.t;
-    ack_memo : (int * int, P.sender * int) Hashtbl.t;
-    data_memo : (int * int, P.receiver * int) Hashtbl.t;
-  }
-
-  let make_ctx () =
-    {
-      intern_s = fresh_intern_sender ();
-      intern_r = fresh_intern_receiver ();
-      pkts = Pvec.Index.create ();
-      spoll_memo = Hashtbl.create 256;
-      rpoll_memo = Hashtbl.create 256;
-      ack_memo = Hashtbl.create 512;
-      data_memo = Hashtbl.create 512;
-    }
-
-  let memo tbl key f =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        Hashtbl.add tbl key v;
-        v
-
-  type pstate = {
-    psender : P.sender;
-    psid : int;
-    preceiver : P.receiver;
-    prid : int;
-    ptr : Pvec.t;  (** fresh forward packets only *)
-    prt : Pvec.t;  (** fresh reverse packets only *)
-  }
-
-  let spoll ctx st =
-    memo ctx.spoll_memo st.psid (fun () ->
-        let emit, s = P.sender_poll st.psender in
-        (emit, s, ctx.intern_s s))
-
-  let rpoll ctx st =
-    memo ctx.rpoll_memo st.prid (fun () ->
-        let emit, r = P.receiver_poll st.preceiver in
-        (emit, r, ctx.intern_r r))
-
-  let ack ctx st pkt =
-    memo ctx.ack_memo (st.psid, pkt) (fun () ->
-        let s = P.on_ack st.psender pkt in
-        (s, ctx.intern_s s))
-
-  let data ctx st pkt =
-    memo ctx.data_memo (st.prid, pkt) (fun () ->
-        let r = P.on_data st.preceiver pkt in
-        (r, ctx.intern_r r))
-
   (* The boundness extension from one configuration: old in-transit packets
      are frozen, every fresh packet may be delivered, only forward sends
-     cost.  0-1 breadth-first search; returns the minimum number of
-     send_pkt^{t->r} actions before a delivery, if found within budget. *)
-  let probe ctx (pb : probe_bounds) ~(sender : P.sender) ~(receiver : P.receiver) =
-    let start =
-      {
-        psender = sender;
-        psid = ctx.intern_s sender;
-        preceiver = receiver;
-        prid = ctx.intern_r receiver;
-        ptr = Pvec.empty;
-        prt = Pvec.empty;
-      }
+     cost.  0-1 breadth-first search; the minimum number of
+     send_pkt^{t->r} actions before a delivery, if found within budget.
+
+     Probe states are the configurations of a fresh engine [F] per chunk
+     (counters 0, channels holding fresh packets only), so they live in
+     their own id space while every probe of the chunk shares [F]'s
+     interners and transition memos.  Sharing cannot change results: each
+     probe has its own visited table, and vectors only ever see ids the
+     probe itself added. *)
+  let probe_chunk (pb : probe_bounds) configs =
+    let module F = Explore.Make (P) in
+    let module Deque = Nfc_util.Deque in
+    let probe (c : E.config) =
+      (* Scale with the per-probe node budget (cf. {!Explore}'s visited
+         sizing) instead of a fixed 1024. *)
+      let visited = F.Ctbl.create (max 1024 (min pb.max_nodes 1_048_576)) in
+      (* Two-ended 0-1 BFS: states paired with their cost; visited marked
+         on pop so the first pop has the minimal cost. *)
+      let rec loop dq n_visited =
+        if n_visited >= pb.max_nodes then None
+        else
+          match Deque.pop_front dq with
+          | None -> None
+          | Some ((cost, _), _) when cost > pb.max_cost -> None
+          | Some ((_, st), dq) when F.Ctbl.mem visited st -> loop dq n_visited
+          | Some ((cost, st), dq) -> (
+              F.Ctbl.add visited st ();
+              let dq = ref dq in
+              let costless st = dq := Deque.push_front (cost, st) !dq in
+              let fresh pkt v = Pvec.add v (Pvec.Index.id F.pkts pkt) in
+              match F.step_receiver_poll st.F.receiver st.F.rid with
+              | Some Spec.Rdeliver, _, _ -> Some cost (* Goal: a delivery is enabled. *)
+              | emit, r', rid' ->
+                  (match emit with
+                  | Some (Spec.Rsend pkt) ->
+                      costless { st with receiver = r'; rid = rid'; rt = fresh pkt st.rt }
+                  | _ -> if rid' <> st.rid then costless { st with receiver = r'; rid = rid' });
+                  (match F.step_sender_poll st.sender st.sid with
+                  | Some pkt, s', sid' ->
+                      let st' = { st with sender = s'; sid = sid'; tr = fresh pkt st.tr } in
+                      dq := Deque.push_back (cost + 1, st') !dq
+                  | None, s', sid' ->
+                      if sid' <> st.sid then costless { st with sender = s'; sid = sid' });
+                  Pvec.Index.iter_by_value F.pkts (fun id ->
+                      match Pvec.remove_one st.tr id with
+                      | Some tr ->
+                          let pkt = Pvec.Index.packet F.pkts id in
+                          let r', rid' = F.step_data st.receiver st.rid pkt in
+                          costless { st with receiver = r'; rid = rid'; tr }
+                      | None -> ());
+                  Pvec.Index.iter_by_value F.pkts (fun id ->
+                      match Pvec.remove_one st.rt id with
+                      | Some rt ->
+                          let pkt = Pvec.Index.packet F.pkts id in
+                          let s', sid' = F.step_ack st.sender st.sid pkt in
+                          costless { st with sender = s'; sid = sid'; rt }
+                      | None -> ());
+                  loop !dq (n_visited + 1))
+      in
+      let start =
+        {
+          F.sender = c.E.sender;
+          sid = F.intern_sender c.E.sender;
+          receiver = c.E.receiver;
+          rid = F.intern_receiver c.E.receiver;
+          tr = Pvec.empty;
+          rt = Pvec.empty;
+          submitted = 0;
+          delivered = 0;
+        }
+      in
+      loop (Deque.push_front (0, start) Deque.empty) 0
     in
-    (* Two-ended 0-1 BFS: states paired with their cost; visited marked on
-       pop so the first pop has the minimal cost. *)
-    let dq : (int * pstate) Nfc_util.Deque.t ref = ref Nfc_util.Deque.empty in
-    let push_front x = dq := Nfc_util.Deque.push_front x !dq in
-    let push_back x = dq := Nfc_util.Deque.push_back x !dq in
-    (* Scale with the per-probe node budget (cf. {!Explore}'s visited
-       sizing) instead of a fixed 1024. *)
-    let visited = Ptbl.create (max 1024 (min pb.max_nodes 1_048_576)) in
-    let n_visited = ref 0 in
-    let result = ref None in
-    push_front (0, start);
-    (try
-       while not (Nfc_util.Deque.is_empty !dq) do
-         if !n_visited >= pb.max_nodes then raise Exit;
-         match Nfc_util.Deque.pop_front !dq with
-         | None -> raise Exit
-         | Some ((cost, st), rest) ->
-             dq := rest;
-             if cost > pb.max_cost then raise Exit;
-             let key = (st.psid, st.prid, st.ptr, st.prt) in
-             if not (Ptbl.mem visited key) then begin
-               Ptbl.add visited key ();
-               incr n_visited;
-               (* Goal: a delivery is enabled. *)
-               (let emit, r', prid' = rpoll ctx st in
-                match emit with
-                | Some Spec.Rdeliver ->
-                    result := Some cost;
-                    raise Exit
-                | Some (Spec.Rsend pkt) ->
-                    push_front
-                      ( cost,
-                        {
-                          st with
-                          preceiver = r';
-                          prid = prid';
-                          prt = Pvec.add st.prt (Pvec.Index.id ctx.pkts pkt);
-                        } )
-                | None ->
-                    if prid' <> st.prid then
-                      push_front (cost, { st with preceiver = r'; prid = prid' }));
-               (let emit, s', psid' = spoll ctx st in
-                match emit with
-                | Some pkt ->
-                    push_back
-                      ( cost + 1,
-                        {
-                          st with
-                          psender = s';
-                          psid = psid';
-                          ptr = Pvec.add st.ptr (Pvec.Index.id ctx.pkts pkt);
-                        } )
-                | None ->
-                    if psid' <> st.psid then
-                      push_front (cost, { st with psender = s'; psid = psid' }));
-               Pvec.Index.iter_by_value ctx.pkts (fun id ->
-                   match Pvec.remove_one st.ptr id with
-                   | Some tr' ->
-                       let pkt = Pvec.Index.packet ctx.pkts id in
-                       let r', prid' = data ctx st pkt in
-                       push_front (cost, { st with preceiver = r'; prid = prid'; ptr = tr' })
-                   | None -> ());
-               Pvec.Index.iter_by_value ctx.pkts (fun id ->
-                   match Pvec.remove_one st.prt id with
-                   | Some rt' ->
-                       let pkt = Pvec.Index.packet ctx.pkts id in
-                       let s', psid' = ack ctx st pkt in
-                       push_front (cost, { st with psender = s'; psid = psid'; prt = rt' })
-                   | None -> ())
-             end
-       done
-     with Exit -> ());
-    !result
+    List.map probe configs
 
   let take n xs =
     let rec go n acc = function
@@ -270,26 +134,12 @@ module Make (P : Spec.S) = struct
     in
     go n [] xs
 
-  (* Split [xs] into [k] contiguous chunks (first chunks one longer on
-     remainder).  Chunking is a performance knob only: probe results are
-     aggregated commutatively, so chunk boundaries never change the
-     report. *)
+  (* Deal [xs] round-robin into [k] chunks.  Chunking is a performance
+     knob only: probe results are aggregated commutatively, so chunk
+     boundaries never change the report. *)
   let chunk k xs =
-    let n = List.length xs in
-    let k = max 1 (min k n) in
-    let per = n / k and rem = n mod k in
-    let rec go i xs acc =
-      if i >= k then List.rev acc
-      else
-        let len = per + if i < rem then 1 else 0 in
-        let taken, _ = take len xs in
-        let rest =
-          let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t in
-          drop len xs
-        in
-        go (i + 1) rest (taken :: acc)
-    in
-    if n = 0 then [] else go 0 xs []
+    let k = max 1 (min k (List.length xs)) in
+    List.init k (fun j -> List.filteri (fun i _ -> i mod k = j) xs)
 
   (* Rank the distinct interned states of [configs] by their comparator,
      so configurations can then be ordered on integer keys alone. *)
@@ -357,11 +207,7 @@ module Make (P : Spec.S) = struct
     let costs =
       List.concat
         (Pool.map ~jobs
-           (fun chunk ->
-             let ctx = make_ctx () in
-             List.map
-               (fun c -> probe ctx probe_bounds ~sender:c.E.sender ~receiver:c.E.receiver)
-               chunk)
+           (probe_chunk probe_bounds)
            (chunk (if jobs <= 0 then Pool.recommended () else jobs) sampled))
     in
     (* Max + count are order-independent, so neither chunking nor parallel

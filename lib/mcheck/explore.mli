@@ -4,9 +4,11 @@
     reverse multiset, submitted, delivered).  Successors follow the
     semantics of Section 2: user submissions, automaton polls (including
     silent timer ticks), adversary-chosen deliveries of any in-transit
-    packet, and (optionally) drops.  The exploration is a breadth-first
-    search with a visited set, so returned counterexamples are
-    shortest-in-moves.
+    packet, and (optionally) drops.  Every exploration — reachable set,
+    phantom search, monitor replay, wedge search, and the stab tier's
+    recovery sweeps — is a client of one breadth-first kernel
+    ({!Make.explore}) over dense BFS-ordered ids, so returned
+    counterexamples are shortest-in-moves.
 
     Channel capacities and a submission budget make the space finite for
     finite-control protocols; counter-based protocols are explored up to
@@ -93,21 +95,14 @@ val pp_wedge_outcome : Format.formatter -> wedge_outcome -> unit
     sequence-number protocols never do within any explored space. *)
 val find_wedge : Nfc_protocol.Spec.t -> bounds -> wedge_outcome
 
-(** Generic dense-id interner: [intern_hashed hash equal] returns a
-    closure assigning ids in first-sight order, hash-bucketed with
-    [equal] breaking collisions — so id equality is exactly
-    [equal]-equality.  Exposed for sibling analyses (boundness probes)
-    that build their own packed visited sets. *)
-val intern_hashed : ('a -> int) -> ('a -> 'a -> bool) -> 'a -> int
+(** The per-protocol exploration engine: typed configurations, the
+    labelled successor relation, the breadth-first kernel and its clients.
 
-(** The per-protocol exploration engine, exposed so downstream static
-    analyses (notably [Nfc_lint]) can work with typed configurations and
-    the labelled successor relation rather than only the monomorphic
-    search wrappers above.
-
-    An instantiation owns mutable intern tables: create the engine inside
-    the job that uses it and never share one instance across domains
-    (per-protocol jobs each instantiate their own). *)
+    An instantiation owns mutable intern tables and transition memos, so
+    each application is its own id space: create the engine inside the
+    job that uses it and never share one instance across domains.
+    Analyses that need a separate id space (boundness probes) apply
+    [Make] again. *)
 module Make (P : Nfc_protocol.Spec.S) : sig
   type config = {
     sender : P.sender;
@@ -181,6 +176,55 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     (Nfc_automata.Action.t option -> config -> unit) ->
     unit
 
+  (** Hash table keyed on configurations under the engine's identity
+      (interned state ids, counters, packed channels): the visited-table
+      type of every exploration. *)
+  module Ctbl : Hashtbl.S with type key = config
+
+  (** An explored graph: configurations under dense ids in BFS order
+      (seeds first), the configuration-to-id index, statistics and the
+      truncation flag. *)
+  type graph
+
+  (** The breadth-first kernel behind every exploration below.  The
+      [seeds] are visited at depth 0 in caller order, deduplicated; then
+      each configuration is expanded in id order.  Two budget rules:
+      [cap] rejects new configurations once [cap] are held but drains the
+      queue (every held configuration is expanded); [stop] ends the search
+      at the first dequeue that finds [stop] or more held (the last
+      expansion may overshoot).  Either sets the truncation flag when it
+      cuts something off.  [on_edge g src act c] sees every move in
+      generation order, before [c] is inserted, and returning [true]
+      stops the search.  [parents] keeps BFS-tree links (for shortest
+      witnesses), [preds] keeps predecessor lists (for {!distances_to});
+      both default to [false] and cost nothing when off.  [size_hint] and
+      [checkpoint] as for {!reachable_set}. *)
+  val explore :
+    ?deliver_valid_only:bool ->
+    ?size_hint:int ->
+    ?checkpoint:(unit -> unit) ->
+    ?parents:bool ->
+    ?preds:bool ->
+    ?on_edge:(graph -> int -> Nfc_automata.Action.t option -> config -> bool) ->
+    cap:int ->
+    stop:int ->
+    seeds:config list ->
+    bounds ->
+    graph
+
+  (** Number of configurations held: ids are [0 .. size g - 1]. *)
+  val size : graph -> int
+
+  val node : graph -> int -> config
+  val find : graph -> config -> int option
+  val truncated : graph -> bool
+
+  (** [distances_to g source]: multi-source backward BFS over the
+      predecessor lists (the graph must have been explored with
+      [~preds:true]) — each id's distance to the nearest id satisfying
+      [source], [max_int] when none is reachable inside the graph. *)
+  val distances_to : graph -> (int -> bool) -> int array
+
   type reach = {
     configs : config list;  (** every visited configuration, in BFS order *)
     truncated : bool;  (** true iff [max_nodes] cut the exploration off *)
@@ -215,13 +259,11 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     bounds ->
     reach
 
-  (** Corrupted-start exploration (the self-stabilization tier's sweep):
-      {!reachable_set} seeded from an enumerated configuration list
-      instead of [initial].  Seeds are visited at depth 0 in caller order,
-      deduplicated through the visited table, so [configs] lists the
-      distinct seeds first, then the BFS levels.  A seed list longer than
-      [max_nodes] truncates.  [from_configs ~seeds:[initial]] is
-      [reachable_set]. *)
+  (** {!reachable_set} seeded from a configuration list instead of
+      [initial]: the kernel under the [cap = max_nodes] rule, so
+      [configs] lists the distinct seeds first, then the BFS levels, and
+      a seed list longer than [max_nodes] truncates.
+      [from_configs ~seeds:[initial]] is [reachable_set]. *)
   val from_configs :
     ?deliver_valid_only:bool ->
     ?size_hint:int ->
@@ -230,7 +272,9 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     bounds ->
     reach
 
-  (** BFS counterexample search; same [size_hint]/[checkpoint] contract as
+  (** BFS counterexample search: the kernel under the [stop = max_nodes]
+      rule, so a [Node_budget] count may overshoot [max_nodes] by the
+      last expansion.  Same [size_hint]/[checkpoint] contract as
       {!reachable_set}. *)
   val search :
     ?stop_at_phantom:bool ->

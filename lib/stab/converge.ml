@@ -112,23 +112,12 @@ let analyze (spec : Spec.t) cfg =
   let lreach = E.reachable_set lbounds in
   let legit = Array.of_list lreach.E.configs in
   let legit_closed = not lreach.E.truncated in
-  (* Full-configuration hashing; legitimacy lives on the counter-free
-     projection, which we key as the configuration with zeroed counters. *)
-  let module Ckey = struct
-    type t = E.config
-
-    let equal (a : t) (b : t) =
-      a.E.sid = b.E.sid && a.E.rid = b.E.rid && a.E.submitted = b.E.submitted
-      && a.E.delivered = b.E.delivered && Pvec.equal a.E.tr b.E.tr && Pvec.equal a.E.rt b.E.rt
-
-    let hash (c : t) =
-      Hashtbl.hash (c.E.sid, c.E.rid, c.E.submitted, c.E.delivered, Pvec.hash c.E.tr, Pvec.hash c.E.rt)
-  end in
-  let module Ctbl = Hashtbl.Make (Ckey) in
+  (* Legitimacy lives on the counter-free projection, keyed as the
+     configuration with zeroed counters. *)
   let proj (c : E.config) = { c with E.submitted = 0; delivered = 0 } in
-  let lset = Ctbl.create (Array.length legit * 2) in
-  Array.iter (fun c -> Ctbl.replace lset (proj c) ()) legit;
-  let legitimate c = Ctbl.mem lset (proj c) in
+  let lset = E.Ctbl.create (Array.length legit * 2) in
+  Array.iter (fun c -> E.Ctbl.replace lset (proj c) ()) legit;
+  let legitimate c = E.Ctbl.mem lset (proj c) in
   (* 2. Observed station states (first-occurrence order in the
      deterministic BFS configuration list) and the observed channel
      alphabet (value order). *)
@@ -218,47 +207,16 @@ let analyze (spec : Spec.t) cfg =
       c.E.receiver pp_chan (E.packets_tr c) pp_chan (E.packets_rt c)
   in
   (* One multi-seed convergence measurement: forward recovery sweep from
-     the seeds, then distance-to-L by a backward BFS from the legitimate
-     configurations over the explored graph.  Distances are relative to
-     the explored subgraph — sound as convergence witnesses, upper
-     bounds as distances; divergence is sound only when the sweep was
-     not truncated. *)
+     the seeds, keeping predecessors, then distance-to-L by the kernel's
+     backward BFS from the legitimate configurations over the explored
+     graph.  Distances are relative to the explored subgraph — sound as
+     convergence witnesses, upper bounds as distances; divergence is sound
+     only when the sweep was not truncated. *)
   let measure seeds =
     let n_seeds = List.length seeds in
-    let rreach = E.from_configs ~seeds rbounds in
-    let v = Array.of_list rreach.E.configs in
-    let n = Array.length v in
-    let idx = Ctbl.create (n * 2) in
-    Array.iteri (fun i c -> Ctbl.replace idx c i) v;
-    let preds = Array.make n [] in
-    let inl = Array.make n false in
-    Array.iteri
-      (fun i c ->
-        inl.(i) <- legitimate c;
-        E.iter_successors rbounds c (fun _a c' ->
-            match Ctbl.find_opt idx c' with
-            | Some j -> preds.(j) <- i :: preds.(j)
-            | None -> () (* cut by truncation *)))
-      v;
-    let dist = Array.make n max_int in
-    let q = Queue.create () in
-    Array.iteri
-      (fun i flag ->
-        if flag then begin
-          dist.(i) <- 0;
-          Queue.add i q
-        end)
-      inl;
-    while not (Queue.is_empty q) do
-      let j = Queue.pop q in
-      List.iter
-        (fun i ->
-          if dist.(i) = max_int then begin
-            dist.(i) <- dist.(j) + 1;
-            Queue.add i q
-          end)
-        preds.(j)
-    done;
+    let g = E.explore ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds rbounds in
+    let n = E.size g in
+    let dist = E.distances_to g (fun i -> legitimate (E.node g i)) in
     (* Seeds occupy the first [min n_seeds n] slots of the BFS list, in
        enumeration order. *)
     let n_seeded = min n_seeds n in
@@ -285,11 +243,11 @@ let analyze (spec : Spec.t) cfg =
         (try
            while dist.(!i) > 0 do
              let next = ref None in
-             E.iter_successors rbounds v.(!i) (fun a c' ->
+             E.iter_successors rbounds (E.node g !i) (fun a c' ->
                  match !next with
                  | Some _ -> ()
                  | None -> (
-                     match Ctbl.find_opt idx c' with
+                     match E.find g c' with
                      | Some j when dist.(j) = dist.(!i) - 1 -> next := Some (a, j)
                      | _ -> ()));
              match !next with
@@ -305,19 +263,19 @@ let analyze (spec : Spec.t) cfg =
     in
     let stuck i =
       let any = ref false in
-      E.iter_successors rbounds v.(i) (fun _ _ -> any := true);
+      E.iter_successors rbounds (E.node g i) (fun _ _ -> any := true);
       not !any
     in
     {
       seeds_analyzed = n_seeded;
       explored = n;
-      sweep_truncated = rreach.E.truncated;
+      sweep_truncated = E.truncated g;
       converged = !converged;
       divergent = !divergent;
       bound = !bound;
-      witness_start = (if !argmax >= 0 then Some (pp_config v.(!argmax)) else None);
+      witness_start = (if !argmax >= 0 then Some (pp_config (E.node g !argmax)) else None);
       witness;
-      divergent_start = (if !first_div >= 0 then Some (pp_config v.(!first_div)) else None);
+      divergent_start = (if !first_div >= 0 then Some (pp_config (E.node g !first_div)) else None);
       divergent_stuck = (if !first_div >= 0 then stuck !first_div else false);
     }
   in
@@ -368,15 +326,15 @@ let analyze (spec : Spec.t) cfg =
   let dup_exit_seeds =
     if ss1 <> Pass then []
     else begin
-      let seen = Ctbl.create 256 in
+      let seen = E.Ctbl.create 256 in
       let out = ref [] in
       Array.iter
         (fun c ->
           let consider c' =
             if not (legitimate c') then begin
               let key = proj c' in
-              if not (Ctbl.mem seen key) then begin
-                Ctbl.replace seen key ();
+              if not (E.Ctbl.mem seen key) then begin
+                E.Ctbl.replace seen key ();
                 out := key :: !out
               end
             end

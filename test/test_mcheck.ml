@@ -96,7 +96,10 @@ let test_wedge_altbit_with_loss () =
       (Nfc_protocol.Alternating_bit.make ~timeout:1 ())
       { small_bounds with max_nodes = 250_000 }
   with
-  | Explore.Wedged (trace, _) ->
+  | Explore.Wedged (trace, stats) ->
+      (* Pinned: the shortest witness and the explored graph size. *)
+      Alcotest.(check int) "witness length" 19 (List.length trace);
+      Alcotest.(check int) "configurations" 250_000 stats.Explore.nodes;
       (* The witness ends with a message pending... *)
       checkb "pending message" true
         (Nfc_automata.Execution.sm trace > Nfc_automata.Execution.rm trace);
@@ -125,7 +128,23 @@ let test_wedge_sequence_protocols_never () =
     [
       Nfc_protocol.Stenning.make ~timeout:1 ();
       Nfc_protocol.Stop_and_wait.make ~timeout:1 ();
-    ]
+    ];
+  (* Stenning at the [nfc mcheck] defaults and 50000 nodes: both searches
+     overshoot the budget by the rest of the last expansion. *)
+  let b = { small_bounds with max_nodes = 50_000 } in
+  let stenning = Nfc_protocol.Stenning.make () in
+  let pinned what (s : Explore.stats) =
+    Alcotest.(check (list int))
+      (what ^ " nodes, k_t, k_r, depth")
+      [ 50_001; 52; 1185; 52 ]
+      [ s.Explore.nodes; s.sender_states; s.receiver_states; s.max_depth ]
+  in
+  (match Explore.find_phantom stenning b with
+  | Explore.Node_budget s -> pinned "find_phantom" s
+  | _ -> Alcotest.fail "stenning must exhaust the node budget");
+  match Explore.find_wedge stenning b with
+  | Explore.No_wedge s -> Alcotest.(check int) "find_wedge nodes" 50_001 s.Explore.nodes
+  | Explore.Wedged _ -> Alcotest.fail "stenning must never wedge"
 
 let test_boundness_within_theorem_bound () =
   (* Theorem 2.1: measured boundness <= k_t * k_r. *)
