@@ -44,7 +44,8 @@ let serve_conn ~routes ~telemetry ~stop_flag client =
         let started = Unix.gettimeofday () in
         let resp = Router.dispatch routes req in
         let keep = Http.wants_keep_alive req && not (Atomic.get stop_flag) in
-        Http.write_response client ~keep_alive:keep resp;
+        (* Count the request before answering it: a client that has read
+           the response and then scrapes /metrics must find it there. *)
         let path = Telemetry.path_label req.Http.path in
         Telemetry.inc telemetry "nfc_http_requests_total"
           [
@@ -54,6 +55,7 @@ let serve_conn ~routes ~telemetry ~stop_flag client =
           ];
         Telemetry.observe telemetry "nfc_http_request_seconds" [ ("path", path) ]
           (Unix.gettimeofday () -. started);
+        Http.write_response client ~keep_alive:keep resp;
         if keep then loop ()
   in
   (try loop () with _ -> ());

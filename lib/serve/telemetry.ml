@@ -35,7 +35,7 @@ let create () =
 let catalogue =
   [
     ("nfc_http_requests_total", `Counter, "HTTP requests served, by method, path pattern and status");
-    ("nfc_http_request_seconds", `Histogram, "Wall-clock seconds spent serving an HTTP request");
+    ("nfc_http_request_seconds", `Histogram, "Wall-clock seconds spent handling an HTTP request, up to the response write");
     ("nfc_jobs_submitted_total", `Counter, "Jobs admitted into the queue, by kind");
     ("nfc_jobs_completed_total", `Counter, "Jobs reaching a terminal state, by kind and state");
     ("nfc_jobs_rejected_total", `Counter, "Submissions refused with 429 (queue full)");

@@ -33,23 +33,31 @@ let start ~jobs ~queue ~table ~telemetry =
              Telemetry.observe telemetry "nfc_job_queue_wait_seconds" []
                (started -. job.Jobs.submitted_at);
              Atomic.incr running;
-             let state =
+             let outcome =
                match job.Jobs.compute ~cancelled:(fun () -> Atomic.get job.Jobs.cancel_flag) with
-               | result -> Jobs.mark_done table job result
-               | exception Jobs.Cancelled_job ->
-                   Jobs.mark_cancelled table job;
-                   Jobs.Cancelled
+               | result -> `Done result
+               | exception Jobs.Cancelled_job -> `Cancelled
                | exception e ->
                    let bt = Printexc.get_raw_backtrace () in
                    let bt_text = Printexc.raw_backtrace_to_string bt in
-                   Jobs.mark_failed table job
-                     (Printexc.to_string e
-                     ^ if bt_text = "" then "" else "\n" ^ bt_text);
-                   Jobs.Failed
+                   `Failed (Printexc.to_string e ^ if bt_text = "" then "" else "\n" ^ bt_text)
              in
+             (* Observe before publishing the terminal state: a client that
+                sees the job finished and then scrapes /metrics must find
+                its run time there. *)
              Atomic.decr running;
              Telemetry.observe telemetry "nfc_job_run_seconds" kind
                (Unix.gettimeofday () -. started);
+             let state =
+               match outcome with
+               | `Done result -> Jobs.mark_done table job result
+               | `Cancelled ->
+                   Jobs.mark_cancelled table job;
+                   Jobs.Cancelled
+               | `Failed err ->
+                   Jobs.mark_failed table job err;
+                   Jobs.Failed
+             in
              Telemetry.inc telemetry "nfc_jobs_completed_total"
                (kind @ [ ("state", Jobs.state_name state) ])
            end);
