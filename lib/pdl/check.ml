@@ -100,16 +100,19 @@ let rec fold_const consts (e : Ast.expr) : int =
             (Printf.sprintf "unknown constant %S (only consts may appear here)" x))
   | Ast.Unop (Ast.Neg, a, _) -> -fold_const consts a
   | Ast.Unop (Ast.Not, _, sp) -> fail sp "boolean operator in an integer constant expression"
-  | Ast.Binop (op, a, b, sp) -> (
-      let va = fold_const consts a and vb = fold_const consts b in
+  | Ast.Binop (op, a, b, sp) ->
+      (* Folded through the saturating interval arithmetic, so an
+         overflowing intermediate surfaces here instead of wrapping. *)
+      let va = Itv.point (fold_const consts a) and vb = Itv.point (fold_const consts b) in
       let r =
         match op with
-        | Ast.Add -> va + vb
-        | Ast.Sub -> va - vb
-        | Ast.Mul -> va * vb
+        | Ast.Add -> Itv.add va vb
+        | Ast.Sub -> Itv.sub va vb
+        | Ast.Mul -> Itv.mul va vb
         | _ -> fail sp "comparison or boolean operator in an integer constant expression"
       in
-      if abs r > max_consts_abs then fail sp "constant expression overflows" else r)
+      if Itv.is_point r && abs r.lo <= max_consts_abs then r.lo
+      else fail sp "constant expression overflows"
 
 (* ---------------------------------------------------------- typed resolve *)
 
@@ -118,7 +121,6 @@ type namespace = {
   slot_of : string -> int option;
   slots : slot array;
   binder : string option;  (* the packet binder in scope, if any *)
-  binder_range : int * int;
   allow_budget : bool;
 }
 
@@ -175,186 +177,156 @@ and resolve_ty ns e want =
 
 (* ------------------------------------------------------ interval analysis *)
 
-(* Intervals with optional infinities; [None] = unbounded on that side. *)
-type iv = { lo : int option; hi : int option }
-
-let iv_point n = { lo = Some n; hi = Some n }
-let iv_top = { lo = None; hi = None }
-
-let iv_add a b =
-  {
-    lo = (match (a.lo, b.lo) with Some x, Some y -> Some (x + y) | _ -> None);
-    hi = (match (a.hi, b.hi) with Some x, Some y -> Some (x + y) | _ -> None);
-  }
-
-let iv_neg a =
-  { lo = Option.map (fun x -> -x) a.hi; hi = Option.map (fun x -> -x) a.lo }
-
-let iv_sub a b = iv_add a (iv_neg b)
-
-let iv_mul a b =
-  match (a.lo, a.hi, b.lo, b.hi) with
-  | Some al, Some ah, Some bl, Some bh ->
-      let ps = [ al * bl; al * bh; ah * bl; ah * bh ] in
-      { lo = Some (List.fold_left min (List.hd ps) ps); hi = Some (List.fold_left max (List.hd ps) ps) }
-  | _ -> iv_top
-
-(* The abstract state: one interval per int-valued slot (bools and queues
+(* The abstract state: one {!Itv.t} per int-valued slot (bools and queues
    are not tracked), plus the binder's interval. *)
-type aenv = { ivs : iv array; binder_iv : iv }
+type aenv = { ivs : Itv.t array; binder_iv : Itv.t }
 
 let init_aenv (slots : slot array) ~binder_range =
   let ivs =
     Array.map
       (fun s ->
         match s.kind with
-        | Krange (lo, hi, _) -> { lo = Some lo; hi = Some hi }
-        | Kcounter _ -> { lo = Some 0; hi = None }
-        | Kbool _ | Kqueue _ -> iv_top)
+        | Krange (lo, hi, _) -> { Itv.lo; hi }
+        | Kcounter _ -> { Itv.lo = 0; hi = Itv.omega }
+        | Kbool _ | Kqueue _ -> Itv.top)
       slots
   in
-  { ivs; binder_iv = { lo = Some (fst binder_range); hi = Some (snd binder_range) } }
+  { ivs; binder_iv = { Itv.lo = fst binder_range; hi = snd binder_range } }
 
-let rec iv_of (a : aenv) (e : cexpr) : iv =
+let rec interval_of (a : aenv) (e : cexpr) : Itv.t =
   match e with
-  | Cint n -> iv_point n
-  | Cbool _ -> iv_top
+  | Cint n -> Itv.point n
+  | Cbool _ -> Itv.top
   | Cslot i -> a.ivs.(i)
   | Cbinder -> a.binder_iv
-  | Cbudget -> { lo = Some 0; hi = None }
-  | Cun (Ast.Neg, x) -> iv_neg (iv_of a x)
-  | Cun (Ast.Not, _) -> iv_top
-  | Cbin (Ast.Add, x, y) -> iv_add (iv_of a x) (iv_of a y)
-  | Cbin (Ast.Sub, x, y) -> iv_sub (iv_of a x) (iv_of a y)
-  | Cbin (Ast.Mul, x, y) -> iv_mul (iv_of a x) (iv_of a y)
-  | Cbin (_, _, _) -> iv_top
+  | Cbudget -> { Itv.lo = 0; hi = Itv.omega }
+  | Cun (Ast.Neg, x) -> Itv.neg (interval_of a x)
+  | Cun (Ast.Not, _) -> Itv.top
+  | Cbin (Ast.Add, x, y) -> Itv.add (interval_of a x) (interval_of a y)
+  | Cbin (Ast.Sub, x, y) -> Itv.sub (interval_of a x) (interval_of a y)
+  | Cbin (Ast.Mul, x, y) -> Itv.mul (interval_of a x) (interval_of a y)
+  | Cbin (_, _, _) -> Itv.top
 
-let iv_meet a b =
-  {
-    lo = (match (a.lo, b.lo) with Some x, Some y -> Some (max x y) | x, None -> x | None, y -> y);
-    hi = (match (a.hi, b.hi) with Some x, Some y -> Some (min x y) | x, None -> x | None, y -> y);
-  }
-
-(* Refine the abstract state by a guard: walk top-level conjuncts and
-   narrow any [slot OP rigid] / [rigid OP slot] / [binder OP rigid]
-   comparison whose other side has a known constant interval.  Sound
-   because only conjuncts refine (a disjunct proves nothing on its own). *)
-let refine (a : aenv) (g : cexpr) : aenv =
-  let rigid_value e = match iv_of a e with { lo = Some x; hi = Some y } when x = y -> Some x | _ -> None in
-  let narrow iv op v ~flipped =
-    (* slot OP v, or (flipped) v OP slot *)
-    let op =
-      if not flipped then op
-      else
-        match op with
-        | Ast.Lt -> Ast.Gt
-        | Ast.Le -> Ast.Ge
-        | Ast.Gt -> Ast.Lt
-        | Ast.Ge -> Ast.Le
-        | o -> o
-    in
-    match op with
-    | Ast.Eq -> iv_meet iv (iv_point v)
-    | Ast.Lt -> iv_meet iv { lo = None; hi = Some (v - 1) }
-    | Ast.Le -> iv_meet iv { lo = None; hi = Some v }
-    | Ast.Gt -> iv_meet iv { lo = Some (v + 1); hi = None }
-    | Ast.Ge -> iv_meet iv { lo = Some v; hi = None }
-    | _ -> iv
+(* The one guard-narrowing rule, shared with the spec-level interpreter
+   ([Nfc_specint.Dom.refine]) so both narrow alike.  [narrow_guard] walks
+   the top-level conjuncts of [g] over an abstract state ['env]: a
+   comparison [l OP r] narrows each side that [target] names (its
+   interval and a setter) against the other side, when [value_of] gives
+   that other side a single value.  Sound because only conjuncts refine
+   (a disjunct proves nothing on its own).  [feasible] is asked first at
+   every node ([None] when it says no); every node that is neither a
+   conjunction nor a comparison goes to [other].  [None] when the guard
+   holds on no state of [env]. *)
+let rec narrow_guard ~value_of ~target ?(feasible = fun _ _ -> true)
+    ?(other = fun env _ -> Some env) env g =
+  let side env t op rigid =
+    let r = value_of env rigid in
+    if not (Itv.is_point r) then Some env
+    else
+      match target env t with
+      | Some (iv, set) -> Option.map set (Itv.narrow op iv r.Itv.lo)
+      | None -> Some env
   in
-  let a = { a with ivs = Array.copy a.ivs } in
-  let apply lhs op rhs ~flipped acc =
-    match (lhs, rigid_value rhs) with
-    | Cslot i, Some v ->
-        acc.ivs.(i) <- narrow acc.ivs.(i) op v ~flipped;
-        acc
-    | Cbinder, Some v -> { acc with binder_iv = narrow acc.binder_iv op v ~flipped }
-    | _ -> acc
-  in
-  let rec go acc e =
-    match e with
-    | Cbin (Ast.And, x, y) -> go (go acc x) y
-    | Cbin ((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, x, y) ->
-        apply y op x ~flipped:true (apply x op y ~flipped:false acc)
-    | _ -> acc
-  in
-  go a g
+  if not (feasible env g) then None
+  else
+    match g with
+    | Cbin (Ast.And, x, y) ->
+        Option.bind (narrow_guard ~value_of ~target ~feasible ~other env x) (fun env ->
+            narrow_guard ~value_of ~target ~feasible ~other env y)
+    | Cbin ((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op, l, r) ->
+        Option.bind (side env l op r) (fun env -> side env r (Itv.flip op) l)
+    | _ -> other env g
 
-let iv_within iv ~lo ~hi =
-  match (iv.lo, iv.hi) with Some l, Some h -> l >= lo && h <= hi | _ -> false
+(* The checker's instance: slots and the binder are the targets. *)
+let refine (a : aenv) (g : cexpr) : aenv option =
+  narrow_guard a g ~value_of:interval_of ~target:(fun a t ->
+      match t with
+      | Cslot i ->
+          Some
+            ( a.ivs.(i),
+              fun itv ->
+                let ivs = Array.copy a.ivs in
+                ivs.(i) <- itv;
+                { a with ivs } )
+      | Cbinder -> Some (a.binder_iv, fun itv -> { a with binder_iv = itv })
+      | _ -> None)
 
-let iv_nonneg iv = match iv.lo with Some l -> l >= 0 | None -> false
+let refine_opt a = function None -> Some a | Some g -> refine a g
+
+(* Declared ranges lie strictly inside ±ω (a bound of ±ω reads as
+   unbounded and fails the span checks), so an interval reaching ±ω —
+   where native evaluation may have wrapped — is never contained. *)
+let within (itv : Itv.t) ~lo ~hi = itv.lo >= lo && itv.hi <= hi
+
+(* Counters are unbounded above, so [within] cannot catch their
+   overflow.  A sub-computation whose interval lies entirely at or
+   beyond ±ω overflows (or lands exactly on max_int) on every state:
+   a counter write containing one is refused.  Overflow that is only
+   possible — [c * 2] once [c] has doubled 62 times — is not. *)
+let rec certainly_overflows (a : aenv) (e : cexpr) =
+  match e with
+  | Cun (Ast.Neg, x) -> certainly_overflows a x
+  | Cbin ((Ast.Add | Ast.Sub | Ast.Mul), x, y) ->
+      let v = interval_of a e in
+      v.lo = Itv.omega || v.hi = Itv.neg_omega || certainly_overflows a x
+      || certainly_overflows a y
+  | _ -> false
 
 (* ------------------------------------------------- clause-level checking *)
 
-type clause_ctx = {
-  ns : namespace;
-  station : string;  (* "sender" | "receiver" *)
-}
-
-let check_packet_arg ctx aenv (fam : cfamily) (arg : cexpr option) span =
+(* [aenv] is [None] on a clause whose guard is infeasible: containment
+   then holds vacuously, but the structural checks still apply. *)
+let check_packet_arg aenv (fam : cfamily) (arg : cexpr option) span =
   match (fam.has_param, arg) with
   | false, Some _ ->
       fail span (Printf.sprintf "packet family %S takes no parameter" fam.cfname)
   | true, None ->
       fail span (Printf.sprintf "packet family %S requires a parameter" fam.cfname)
   | false, None -> ()
-  | true, Some ce ->
-      ignore ctx;
-      let iv = iv_of aenv ce in
-      if not (iv_within iv ~lo:fam.plo ~hi:fam.phi) then
-        fail span
-          (Printf.sprintf
-             "cannot prove this value stays within %S's parameter range %d .. %d"
-             fam.cfname fam.plo fam.phi)
+  | true, Some ce -> (
+      match aenv with
+      | Some a when not (within (interval_of a ce) ~lo:fam.plo ~hi:fam.phi) ->
+          fail span
+            (Printf.sprintf
+               "cannot prove this value stays within %S's parameter range %d .. %d"
+               fam.cfname fam.plo fam.phi)
+      | _ -> ())
 
-let check_actions ctx (aenv : aenv) (acts : (caction * Diag.span) list) =
+let check_actions (slots : slot array) (aenv : aenv option)
+    (acts : (caction * Diag.span) list) =
   (* Sequential abstract execution mirroring the interpreter's scratch
      copy: each action reads the post-state of the previous ones. *)
-  let a = ref { aenv with ivs = Array.copy aenv.ivs } in
+  let a = Option.map (fun a -> { a with ivs = Array.copy a.ivs }) aenv in
   List.iter
     (fun (act, span) ->
-      match act with
-      | CAset (i, op, ce) -> (
-          let s = ctx.ns.slots.(i) in
-          match s.kind with
+      match (act, a) with
+      | CApush (_, fam, arg), _ -> check_packet_arg a fam arg span
+      | CAset _, None -> ()
+      | CAset (i, op, ce), Some a ->
+          let s = slots.(i) in
+          let v = interval_of a ce in
+          let next =
+            match op with `Assign -> v | `Add -> Itv.add a.ivs.(i) v | `Sub -> Itv.sub a.ivs.(i) v
+          in
+          (match s.kind with
           | Kbool _ -> ()  (* typing already ensured a boolean rhs for Assign *)
           | Krange (lo, hi, _) ->
-              let cur = !a.ivs.(i) in
-              let v = iv_of !a ce in
-              let next =
-                match op with
-                | `Assign -> v
-                | `Add -> iv_add cur v
-                | `Sub -> iv_sub cur v
-              in
-              if not (iv_within next ~lo ~hi) then
+              if not (within next ~lo ~hi) then
                 fail span
                   (Printf.sprintf
                      "cannot prove %S stays within its declared range %d .. %d \
                       (guard the clause, e.g. \"when %s > %d\")"
-                     s.sname lo hi s.sname lo);
-              !a.ivs.(i) <- next
+                     s.sname lo hi s.sname lo)
           | Kcounter _ ->
-              let cur = !a.ivs.(i) in
-              let v = iv_of !a ce in
-              let next =
-                match op with
-                | `Assign -> v
-                | `Add -> iv_add cur v
-                | `Sub -> iv_sub cur v
-              in
-              if not (iv_nonneg next) then
+              if next.lo < 0 || next.lo = Itv.omega || certainly_overflows a ce then
                 fail span
                   (Printf.sprintf
                      "cannot prove counter %S stays non-negative (guard the clause, \
                       e.g. \"when %s > 0\")"
-                     s.sname s.sname);
-              !a.ivs.(i) <- next
-          | Kqueue _ -> assert false (* resolution rejects queue targets *))
-      | CApush (_, fam, arg) ->
-          check_packet_arg ctx !a fam arg span)
-    acts;
-  ()
+                     s.sname s.sname)
+          | Kqueue _ -> assert false (* resolution rejects queue targets *));
+          a.ivs.(i) <- next)
+    acts
 
 (* -------------------------------------------- guard exhaustiveness sweep *)
 
@@ -531,7 +503,6 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
       slot_of = (fun _ -> None);
       slots = [||];
       binder = None;
-      binder_range = (0, 0);
       allow_budget = true;
     }
   in
@@ -556,7 +527,7 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
         | Ast.Dvar { ty = Ast.Trange (lo, hi, tspan); init; _ } ->
             let lo = fold_const consts lo and hi = fold_const consts hi in
             if lo > hi then fail tspan (Printf.sprintf "empty range %d .. %d" lo hi);
-            if hi - lo > max_range_span then
+            if Itv.size { Itv.lo; hi } > max_range_span + 1 then
               fail tspan (Printf.sprintf "range wider than %d values" max_range_span);
             let init = fold_const consts init in
             if init < lo || init > hi then
@@ -584,15 +555,35 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
     | Some f -> f
     | None -> fail span (Printf.sprintf "unknown packet family %S" name)
   in
+  let resolve_action ns = function
+    | Ast.Aset { target; op; value; span } -> (
+        match slot_of target with
+        | None -> fail span (Printf.sprintf "unknown variable %S" target)
+        | Some i -> (
+            match (slots.(i).kind, op) with
+            | Kqueue _, _ ->
+                fail span
+                  (Printf.sprintf "%S is a queue; use \"push %s fam(...)\"" target target)
+            | Kbool _, `Assign -> (CAset (i, op, resolve_ty ns value Ebool), span)
+            | Kbool _, _ ->
+                fail span (Printf.sprintf "+=/-= need an integer variable, %S is bool" target)
+            | (Krange _ | Kcounter _), _ -> (CAset (i, op, resolve_ty ns value Eint), span)))
+    | Ast.Apush { queue; family; arg; span } -> (
+        match slot_of queue with
+        | Some i when (match slots.(i).kind with Kqueue _ -> true | _ -> false) ->
+            let fam = family_of family span in
+            let carg = Option.map (fun e -> resolve_ty ns e Eint) arg in
+            (CApush (i, fam, carg), span)
+        | Some _ -> fail span (Printf.sprintf "%S is not a queue" queue)
+        | None -> fail span (Printf.sprintf "unknown queue %S" queue))
+  in
   (* Clauses. *)
   let on_clauses = ref [] in
   let poll_clauses = ref [] in
   let all_with_spans = ref [] in
   List.iter
     (fun cl ->
-      let mk_ns ~binder ~binder_range =
-        { consts; slot_of; slots; binder; binder_range; allow_budget = false }
-      in
+      let mk_ns ~binder = { consts; slot_of; slots; binder; allow_budget = false } in
       match cl with
       | Ast.Con { trigger; guard; actions; span } ->
           let trig, binder, binder_range =
@@ -613,41 +604,12 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
                 | _ -> ());
                 (CTpacket fam, binder, (fam.plo, fam.phi))
           in
-          let ns = mk_ns ~binder ~binder_range in
+          let ns = mk_ns ~binder in
           let cguard = Option.map (fun g -> resolve_ty ns g Ebool) guard in
-          let cacts =
-            List.map
-              (fun a ->
-                match a with
-                | Ast.Aset { target; op; value; span } -> (
-                    match slot_of target with
-                    | None -> fail span (Printf.sprintf "unknown variable %S" target)
-                    | Some i -> (
-                        match (slots.(i).kind, op) with
-                        | Kqueue _, _ ->
-                            fail span
-                              (Printf.sprintf "%S is a queue; use \"push %s fam(...)\""
-                                 target target)
-                        | Kbool _, `Assign -> ((CAset (i, op, resolve_ty ns value Ebool)), span)
-                        | Kbool _, _ ->
-                            fail span (Printf.sprintf "+=/-= need an integer variable, %S is bool" target)
-                        | (Krange _ | Kcounter _), _ ->
-                            ((CAset (i, op, resolve_ty ns value Eint)), span)))
-                | Ast.Apush { queue; family; arg; span } -> (
-                    match slot_of queue with
-                    | Some i when (match slots.(i).kind with Kqueue _ -> true | _ -> false) ->
-                        let fam = family_of family span in
-                        let carg = Option.map (fun e -> resolve_ty ns e Eint) arg in
-                        ((CApush (i, fam, carg)), span)
-                    | Some _ -> fail span (Printf.sprintf "%S is not a queue" queue)
-                    | None -> fail span (Printf.sprintf "unknown queue %S" queue)))
-              actions
-          in
+          let cacts = List.map (resolve_action ns) actions in
           (* Interval pass: initial bounds, guard-refined. *)
           let a0 = init_aenv slots ~binder_range in
-          let a1 = match cguard with Some g -> refine a0 g | None -> a0 in
-          let ctx = { ns; station } in
-          check_actions ctx a1 cacts;
+          check_actions slots (refine_opt a0 cguard) cacts;
           let c =
             { trig = Some trig; guard = cguard; emit = None; acts = List.map fst cacts;
               cspan = span }
@@ -655,10 +617,9 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
           on_clauses := c :: !on_clauses;
           all_with_spans := (c, span) :: !all_with_spans
       | Ast.Cpoll { guard; emit; actions; span } ->
-          let ns = mk_ns ~binder:None ~binder_range:(0, 0) in
+          let ns = mk_ns ~binder:None in
           let cguard = Option.map (fun g -> resolve_ty ns g Ebool) guard in
-          let a0 = init_aenv slots ~binder_range:(0, 0) in
-          let a1 = match cguard with Some g -> refine a0 g | None -> a0 in
+          let a1 = refine_opt (init_aenv slots ~binder_range:(0, 0)) cguard in
           let cemit =
             match emit with
             | None -> None  (* quiet poll: no emission, actions only *)
@@ -669,8 +630,7 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
             | Some (Ast.Esend { family; arg; span = esp }) ->
                 let fam = family_of family esp in
                 let carg = Option.map (fun e -> resolve_ty ns e Eint) arg in
-                let ctx = { ns; station } in
-                check_packet_arg ctx a1 fam carg esp;
+                check_packet_arg a1 fam carg esp;
                 Some (CEsend (fam, carg))
             | Some (Ast.Esend_from { queue; span = qsp }) -> (
                 match slot_of queue with
@@ -679,36 +639,8 @@ let check_station ~station ~(ns_base : string -> bool) consts families (st : Ast
                 | Some _ -> fail qsp (Printf.sprintf "%S is not a queue" queue)
                 | None -> fail qsp (Printf.sprintf "unknown queue %S" queue))
           in
-          let cacts =
-            List.map
-              (fun a ->
-                match a with
-                | Ast.Aset { target; op; value; span } -> (
-                    match slot_of target with
-                    | None -> fail span (Printf.sprintf "unknown variable %S" target)
-                    | Some i -> (
-                        match (slots.(i).kind, op) with
-                        | Kqueue _, _ ->
-                            fail span
-                              (Printf.sprintf "%S is a queue; use \"push %s fam(...)\""
-                                 target target)
-                        | Kbool _, `Assign -> ((CAset (i, op, resolve_ty ns value Ebool)), span)
-                        | Kbool _, _ ->
-                            fail span (Printf.sprintf "+=/-= need an integer variable, %S is bool" target)
-                        | (Krange _ | Kcounter _), _ ->
-                            ((CAset (i, op, resolve_ty ns value Eint)), span)))
-                | Ast.Apush { queue; family; arg; span } -> (
-                    match slot_of queue with
-                    | Some i when (match slots.(i).kind with Kqueue _ -> true | _ -> false) ->
-                        let fam = family_of family span in
-                        let carg = Option.map (fun e -> resolve_ty ns e Eint) arg in
-                        ((CApush (i, fam, carg)), span)
-                    | Some _ -> fail span (Printf.sprintf "%S is not a queue" queue)
-                    | None -> fail span (Printf.sprintf "unknown queue %S" queue)))
-              actions
-          in
-          let ctx = { ns; station } in
-          check_actions ctx a1 cacts;
+          let cacts = List.map (resolve_action ns) actions in
+          check_actions slots a1 cacts;
           let c =
             { trig = None; guard = cguard; emit = cemit; acts = List.map fst cacts;
               cspan = span }
@@ -750,8 +682,8 @@ let run (spec : Ast.spec) : (checked * Diag.t list, Diag.t list) result =
                   fail f.Ast.fspan (Printf.sprintf "empty parameter range %d .. %d" lo hi);
                 (lo, hi, true)
           in
-          let size = phi - plo + 1 in
-          if base + size > max_headers then
+          let size = Itv.size { Itv.lo = plo; hi = phi } in
+          if size > max_headers - base then
             fail f.Ast.fspan
               (Printf.sprintf "packet alphabet exceeds %d distinct values" max_headers);
           ({ cfname = f.Ast.fname; base; plo; phi; has_param } :: acc, base + size))

@@ -24,14 +24,14 @@
         The slot really pumps past its guard constant.
       - Upheld (or budget-truncated): the witness is treated as
         spurious at this bound; install the split interval [0, c] as
-        the slot's widening target ({!Nfc_specint.Dom.itv_split} is the
+        the slot's widening target ({!Nfc_pdl.Itv.split} is the
         underlying partition) and re-run the fixpoint on the
         disjunctively refined control product.
    5. Repeat under a round cap.  A re-run that fails to stabilise
       uninstalls its target and degrades to the one-shot answer —
       refinement can tighten or locate, never flip a verdict unsoundly.
 
-   Soundness does NOT rest on the replay: {!Nfc_specint.Dom.itv_widen}
+   Soundness does NOT rest on the replay: {!Nfc_pdl.Itv.widen}
    rounds outward past the join even when a target is installed, so any
    converged re-run is a genuine over-approximating fixpoint whatever
    targets steered it.  The replay only (a) filters candidates so we
@@ -44,7 +44,7 @@ module Compile = Nfc_pdl.Compile
 module Diag = Nfc_pdl.Diag
 module Explore = Nfc_mcheck.Explore
 module Json = Nfc_util.Json
-module Dom = Nfc_specint.Dom
+module Itv = Nfc_pdl.Itv
 module Flow = Nfc_specint.Flow
 module Specint = Nfc_specint.Specint
 
@@ -75,14 +75,15 @@ let rec conjuncts (e : Check.cexpr) acc =
    when the conjunct says nothing about [i]'s maximum.  Elaboration has
    already constant-folded, so comparisons against literals appear as
    [Cint]. *)
-let conjunct_upper i = function
-  | Check.Cbin (Ast.Lt, Check.Cslot j, Check.Cint c) when j = i -> Some (c - 1)
-  | Check.Cbin (Ast.Le, Check.Cslot j, Check.Cint c) when j = i -> Some c
-  | Check.Cbin (Ast.Eq, Check.Cslot j, Check.Cint c) when j = i -> Some c
-  | Check.Cbin (Ast.Eq, Check.Cint c, Check.Cslot j) when j = i -> Some c
-  | Check.Cbin (Ast.Gt, Check.Cint c, Check.Cslot j) when j = i -> Some (c - 1)
-  | Check.Cbin (Ast.Ge, Check.Cint c, Check.Cslot j) when j = i -> Some c
-  | _ -> None
+let conjunct_upper i conj =
+  let narrowed =
+    match conj with
+    | Check.Cbin (op, Check.Cslot j, Check.Cint c) when j = i -> Itv.narrow op Itv.top c
+    | Check.Cbin (op, Check.Cint c, Check.Cslot j) when j = i ->
+        Itv.narrow (Itv.flip op) Itv.top c
+    | _ -> None
+  in
+  match narrowed with Some { Itv.hi; _ } when hi <> Itv.omega -> Some hi | _ -> None
 
 let station_clauses (cs : Check.cstation) =
   cs.Check.on_clauses @ cs.Check.poll_clauses
@@ -224,7 +225,7 @@ let run ?(rounds = default_rounds) ?(replay_bounds = default_replay_bounds)
       :: !round_logs
   in
   while (not !finished) && !rounds_used < rounds do
-    if !current.Specint.converged && !current.Specint.product <> Dom.omega then
+    if !current.Specint.converged && !current.Specint.product <> Itv.omega then
       finished := true
     else
       (* The abstract witness: first ω-introducing widening jump whose
@@ -276,7 +277,7 @@ let run ?(rounds = default_rounds) ?(replay_bounds = default_replay_bounds)
                     if w.Flow.wstation = "sender" then targets_s else targets_r
                   in
                   let saved = !install in
-                  install := (w.Flow.wslot, { Dom.lo = 0; hi = c }) :: saved;
+                  install := (w.Flow.wslot, { Itv.lo = 0; hi = c }) :: saved;
                   let f =
                     Flow.run ~sender_targets:!targets_s
                       ~receiver_targets:!targets_r ck
@@ -309,8 +310,8 @@ let run ?(rounds = default_rounds) ?(replay_bounds = default_replay_bounds)
     report;
     rounds_used = !rounds_used;
     promoted =
-      base.Specint.product = Dom.omega
-      && report.Specint.product <> Dom.omega
+      base.Specint.product = Itv.omega
+      && report.Specint.product <> Itv.omega
       && report.Specint.converged;
     history = List.rev !history;
     rounds = List.rev !round_logs;
@@ -356,10 +357,10 @@ let to_json (res : result) =
       ("rounds_used", Json.Int res.rounds_used);
       ("promoted", Json.Bool res.promoted);
       ( "base_product",
-        if res.base.Specint.product = Dom.omega then Json.String "omega"
+        if res.base.Specint.product = Itv.omega then Json.String "omega"
         else Json.Int res.base.Specint.product );
       ( "product",
-        if res.report.Specint.product = Dom.omega then Json.String "omega"
+        if res.report.Specint.product = Itv.omega then Json.String "omega"
         else Json.Int res.report.Specint.product );
       ("rounds", Json.List (List.map round_json res.rounds));
       ("refuted", Json.List (List.map refutation_json res.refuted));
@@ -406,7 +407,7 @@ let notes (res : result) : string list =
     else
       [
         Fmt.str "%d refinement round(s); state product %s" res.rounds_used
-          (if res.report.Specint.product = Dom.omega then "still ω"
+          (if res.report.Specint.product = Itv.omega then "still ω"
            else Fmt.str "= %d" res.report.Specint.product);
       ]
   in

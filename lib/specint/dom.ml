@@ -1,105 +1,22 @@
 (* The abstract domain of the spec-level interpreter: per-slot values are
-   booleans with a may-be-true/may-be-false pair, integers as intervals
-   whose upper bound may be ω (and lower bound -ω), and queues as
-   ω-extended multiset upper bounds on the queued packet values
-   ([Nfc_absint.Opvec], so the ω encoding and the join coincide with the
-   coverability tier's channel domain).
+   booleans with a may-be-true/may-be-false pair, integers as
+   {!Nfc_pdl.Itv} intervals (upper bound possibly ω, lower bound possibly
+   -ω), and queues as ω-extended multiset upper bounds on the queued
+   packet values ([Nfc_absint.Opvec], so the ω encoding and the join
+   coincide with the coverability tier's channel domain).
 
-   ω is [Opvec.omega] = [max_int]; -ω is its negation.  Both are plain
-   ints, so the usual comparisons order them correctly; arithmetic goes
-   through the saturating helpers below, which never wrap. *)
+   The interval arithmetic and guard narrowing are the PDL checker's own
+   ([Itv] and [Check.narrow_guard] live in nfc_pdl, below both), so the containment the checker
+   proves is exactly what this interpreter assumes when it clamps a
+   post-state to the declared ranges. *)
 
 module Check = Nfc_pdl.Check
 module Ast = Nfc_pdl.Ast
+module Itv = Nfc_pdl.Itv
 module Opvec = Nfc_absint.Opvec
 
-let omega = Opvec.omega
-let neg_omega = -Opvec.omega
-
-(* ---- intervals ------------------------------------------------------ *)
-
-(* Invariant: [lo <= hi]; [hi = omega] means unbounded above, [lo =
-   neg_omega] unbounded below.  Empty intervals never exist as values —
-   emptiness is signalled by [None] from the meet/refinement operators. *)
-type itv = { lo : int; hi : int }
-
-let point n = { lo = n; hi = n }
-let itv_top = { lo = neg_omega; hi = omega }
-let is_point iv = iv.lo = iv.hi && iv.lo <> omega && iv.lo <> neg_omega
-
-(* Saturating scalar sums, rounding outward (toward the infinity of the
-   bound being computed) so over-approximation is preserved. *)
-let sadd_up a b =
-  if a = omega || b = omega then omega
-  else if a = neg_omega || b = neg_omega then neg_omega
-  else if a > 0 && b > 0 && a > omega - b then omega
-  else if a < 0 && b < 0 && a < neg_omega - b then neg_omega
-  else a + b
-
-(* Extended product with the convention 0 * ω = 0 (an empty range
-   contributes nothing no matter how often it is scaled). *)
-let smul a b =
-  if a = 0 || b = 0 then 0
-  else
-    let pos = a > 0 = (b > 0) in
-    let inf = a = omega || a = neg_omega || b = omega || b = neg_omega in
-    if inf then if pos then omega else neg_omega
-    else if abs a > (omega - 1) / abs b then if pos then omega else neg_omega
-    else a * b
-
-let itv_add a b = { lo = sadd_up a.lo b.lo; hi = sadd_up a.hi b.hi }
-let itv_neg a = { lo = -a.hi; hi = -a.lo }
-let itv_sub a b = itv_add a (itv_neg b)
-
-let itv_mul a b =
-  let c1 = smul a.lo b.lo
-  and c2 = smul a.lo b.hi
-  and c3 = smul a.hi b.lo
-  and c4 = smul a.hi b.hi in
-  { lo = min (min c1 c2) (min c3 c4); hi = max (max c1 c2) (max c3 c4) }
-
-let itv_meet a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
-  if lo > hi then None else Some { lo; hi }
-
-let itv_join a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-
-(* Widening against the slot's [ceiling] (widening target): a growing
-   bound jumps straight to the target's bound (ω for counters, the
-   declared range end for range slots), so the chain stabilises after one
-   jump per side.  The jump rounds OUTWARD past the join — a target
-   tighter than the join (a refinement-installed split point that turned
-   out too low) never truncates it, so the widened value over-approximates
-   the join for EVERY target and soundness does not depend on the target
-   being an invariant.  A too-low target merely degrades to exact
-   iteration past the split point (bounded by the round cap). *)
-let itv_widen ~ceiling ~prev next =
-  {
-    lo = (if next.lo < prev.lo then min ceiling.lo next.lo else next.lo);
-    hi = (if next.hi > prev.hi then max ceiling.hi next.hi else next.hi);
-  }
-
-(* Disjunctive split of [iv] at [c]: the two halves [lo,c] / [c+1,hi] of
-   the refinement partition.  [None] when [c] does not split the interior
-   ([c] outside or at the top).  Refinement analyses the lower half as the
-   widening target and lets the fixpoint prove the upper half
-   unreachable. *)
-let itv_split iv c =
-  if c < iv.lo || c >= iv.hi then None
-  else Some ({ iv with hi = c }, { iv with lo = sadd_up c 1 })
-
-let itv_size iv =
-  if iv.hi = omega || iv.lo = neg_omega then omega
-  else Opvec.sat_add (iv.hi - iv.lo) 1
-
-let pp_bound ppf n =
-  if n = omega then Fmt.string ppf "ω"
-  else if n = neg_omega then Fmt.string ppf "-ω"
-  else Fmt.int ppf n
-
-let pp_itv ppf iv =
-  if is_point iv then pp_bound ppf iv.lo
-  else Fmt.pf ppf "[%a,%a]" pp_bound iv.lo pp_bound iv.hi
+(* Read by clients that test a state product or bound for ω. *)
+let omega = Itv.omega
 
 (* ---- may-booleans --------------------------------------------------- *)
 
@@ -121,12 +38,12 @@ let pp_bv ppf b =
 
 (* ---- abstract slot values and environments -------------------------- *)
 
-type aval = Abool of bv | Aint of itv | Aqueue of Opvec.t
+type aval = Abool of bv | Aint of Itv.t | Aqueue of Opvec.t
 
 (* [binder] is the interval of the packet parameter bound by the active
-   [on <family>(x)] clause; [itv_top] outside such clauses (the checker
+   [on <family>(x)] clause; [Itv.top] outside such clauses (the checker
    rejects stray binder references, so the value is never read there). *)
-type env = { vals : aval array; binder : itv }
+type env = { vals : aval array; binder : Itv.t }
 
 let aval_equal a b =
   match (a, b) with
@@ -141,21 +58,21 @@ let env_equal a b =
 
 (* ---- expression evaluation ------------------------------------------ *)
 
-type v = Vi of itv | Vb of bv
+type v = Vi of Itv.t | Vb of bv
 
 (* The checker types every expression, so the coercions below are total
    on checked specs; the fallbacks keep the evaluator defensive rather
    than partial. *)
-let as_itv = function Vi iv -> iv | Vb _ -> itv_top
+let as_iv = function Vi iv -> iv | Vb _ -> Itv.top
 let as_bv = function Vb b -> b | Vi _ -> bv_top
 
-let cmp_bv (op : Ast.binop) (a : itv) (b : itv) : bv =
+let cmp_bv (op : Ast.binop) (a : Itv.t) (b : Itv.t) : bv =
   let overlap = a.lo <= b.hi && b.lo <= a.hi in
   match op with
   | Ast.Eq ->
-      { can_t = overlap; can_f = not (is_point a && is_point b && a.lo = b.lo) }
+      { can_t = overlap; can_f = not (Itv.is_point a && Itv.is_point b && a.lo = b.lo) }
   | Ast.Ne ->
-      { can_t = not (is_point a && is_point b && a.lo = b.lo); can_f = overlap }
+      { can_t = not (Itv.is_point a && Itv.is_point b && a.lo = b.lo); can_f = overlap }
   | Ast.Lt -> { can_t = a.lo < b.hi; can_f = a.hi >= b.lo }
   | Ast.Le -> { can_t = a.lo <= b.hi; can_f = a.hi > b.lo }
   | Ast.Gt -> { can_t = a.hi > b.lo; can_f = a.lo <= b.hi }
@@ -164,22 +81,22 @@ let cmp_bv (op : Ast.binop) (a : itv) (b : itv) : bv =
 
 let rec eval (e : env) (c : Check.cexpr) : v =
   match c with
-  | Check.Cint n -> Vi (point n)
+  | Check.Cint n -> Vi (Itv.point n)
   | Check.Cbool b -> Vb (bv_of_bool b)
   | Check.Cslot i -> (
       match e.vals.(i) with
       | Abool b -> Vb b
       | Aint iv -> Vi iv
-      | Aqueue _ -> Vi itv_top (* checker rejects queue reads *))
+      | Aqueue _ -> Vi Itv.top (* checker rejects queue reads *))
   | Check.Cbinder -> Vi e.binder
-  | Check.Cbudget -> Vi { lo = 0; hi = omega }
-  | Check.Cun (Ast.Neg, x) -> Vi (itv_neg (as_itv (eval e x)))
+  | Check.Cbudget -> Vi { Itv.lo = 0; hi = Itv.omega }
+  | Check.Cun (Ast.Neg, x) -> Vi (Itv.neg (as_iv (eval e x)))
   | Check.Cun (Ast.Not, x) -> Vb (bv_not (as_bv (eval e x)))
   | Check.Cbin (op, x, y) -> (
       match op with
-      | Ast.Add -> Vi (itv_add (as_itv (eval e x)) (as_itv (eval e y)))
-      | Ast.Sub -> Vi (itv_sub (as_itv (eval e x)) (as_itv (eval e y)))
-      | Ast.Mul -> Vi (itv_mul (as_itv (eval e x)) (as_itv (eval e y)))
+      | Ast.Add -> Vi (Itv.add (as_iv (eval e x)) (as_iv (eval e y)))
+      | Ast.Sub -> Vi (Itv.sub (as_iv (eval e x)) (as_iv (eval e y)))
+      | Ast.Mul -> Vi (Itv.mul (as_iv (eval e x)) (as_iv (eval e y)))
       | Ast.And ->
           let a = as_bv (eval e x) and b = as_bv (eval e y) in
           Vb { can_t = a.can_t && b.can_t; can_f = a.can_f || b.can_f }
@@ -187,80 +104,48 @@ let rec eval (e : env) (c : Check.cexpr) : v =
           let a = as_bv (eval e x) and b = as_bv (eval e y) in
           Vb { can_t = a.can_t || b.can_t; can_f = a.can_f && b.can_f }
       | Ast.Eq | Ast.Ne | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
-          Vb (cmp_bv op (as_itv (eval e x)) (as_itv (eval e y))))
+          Vb (cmp_bv op (as_iv (eval e x)) (as_iv (eval e y))))
 
 (* ---- guard refinement ----------------------------------------------- *)
 
-(* Narrow [iv] under [iv OP rigid] known true. *)
-let narrow (op : Ast.binop) (iv : itv) (r : int) : itv option =
-  match op with
-  | Ast.Eq -> itv_meet iv (point r)
-  | Ast.Lt -> itv_meet iv { lo = neg_omega; hi = sadd_up r (-1) }
-  | Ast.Le -> itv_meet iv { lo = neg_omega; hi = r }
-  | Ast.Gt -> itv_meet iv { lo = sadd_up r 1; hi = omega }
-  | Ast.Ge -> itv_meet iv { lo = r; hi = omega }
-  | _ -> Some iv (* Ne and non-comparisons: no narrowing *)
-
-let flip = function
-  | Ast.Lt -> Ast.Gt
-  | Ast.Le -> Ast.Ge
-  | Ast.Gt -> Ast.Lt
-  | Ast.Ge -> Ast.Le
-  | op -> op
-
 (* Refine [e] under guard [g] assumed true; [None] when the guard cannot
-   hold on any state described by [e].  Conjuncts narrow slot and binder
-   intervals against rigid (singleton) opposite sides, mirroring the
-   checker's own refinement; everything else only feasibility-checks. *)
-let rec refine (e : env) (g : Check.cexpr) : env option =
-  let b = as_bv (eval e g) in
-  if not b.can_t then None
-  else
-    match g with
-    | Check.Cbin (Ast.And, x, y) ->
-        Option.bind (refine e x) (fun e' -> refine e' y)
-    | Check.Cslot i -> (
-        match e.vals.(i) with
-        | Abool _ ->
-            let vals = Array.copy e.vals in
-            vals.(i) <- Abool (bv_of_bool true);
-            Some { e with vals }
-        | _ -> Some e)
-    | Check.Cun (Ast.Not, Check.Cslot i) -> (
-        match e.vals.(i) with
-        | Abool _ ->
-            let vals = Array.copy e.vals in
-            vals.(i) <- Abool (bv_of_bool false);
-            Some { e with vals }
-        | _ -> Some e)
-    | Check.Cbin (((Ast.Eq | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge) as op), l, r)
-      -> (
-        let narrow_side target rigid op =
-          let riv = as_itv (eval e rigid) in
-          if not (is_point riv) then Some e
-          else
-            match target with
-            | Check.Cslot i -> (
-                match e.vals.(i) with
-                | Aint iv ->
-                    Option.map
-                      (fun iv' ->
-                        let vals = Array.copy e.vals in
-                        vals.(i) <- Aint iv';
-                        { e with vals })
-                      (narrow op iv riv.lo)
-                | _ -> Some e)
-            | Check.Cbinder ->
-                Option.map
-                  (fun b' -> { e with binder = b' })
-                  (narrow op e.binder riv.lo)
-            | _ -> Some e
-        in
-        match (l, r) with
-        | (Check.Cslot _ | Check.Cbinder), _ -> narrow_side l r op
-        | _, (Check.Cslot _ | Check.Cbinder) -> narrow_side r l (flip op)
-        | _ -> Some e)
+   hold on any state described by [e].  Integer slots and the binder
+   narrow through the checker's own rule ([Check.narrow_guard]), so from
+   an env inside the checker's declared box this is never less precise
+   than the checker.  On top of it, every node is feasibility-checked
+   with the may-boolean evaluator, and a bare boolean slot (or its
+   negation) is fixed to the value the guard requires. *)
+let refine (e : env) (g : Check.cexpr) : env option =
+  let set_bool e i b =
+    match e.vals.(i) with
+    | Abool _ ->
+        let vals = Array.copy e.vals in
+        vals.(i) <- Abool (bv_of_bool b);
+        Some { e with vals }
     | _ -> Some e
+  in
+  Check.narrow_guard e g
+    ~value_of:(fun e c -> as_iv (eval e c))
+    ~target:(fun e t ->
+      match t with
+      | Check.Cslot i -> (
+          match e.vals.(i) with
+          | Aint iv ->
+              Some
+                ( iv,
+                  fun iv' ->
+                    let vals = Array.copy e.vals in
+                    vals.(i) <- Aint iv';
+                    { e with vals } )
+          | _ -> None)
+      | Check.Cbinder -> Some (e.binder, fun b' -> { e with binder = b' })
+      | _ -> None)
+    ~feasible:(fun e g -> (as_bv (eval e g)).can_t)
+    ~other:(fun e g ->
+      match g with
+      | Check.Cslot i -> set_bool e i true
+      | Check.Cun (Ast.Not, Check.Cslot i) -> set_bool e i false
+      | _ -> Some e)
 
 let refine_opt (e : env) (g : Check.cexpr option) : env option =
   match g with None -> Some e | Some g -> refine e g
@@ -271,7 +156,7 @@ let refine_opt (e : env) (g : Check.cexpr option) : env option =
    [Krange], [0,ω] for counters); queues widen through
    [Opvec.accelerate].  Returns the joined env and whether it differs
    from [into]. *)
-let join_env ~widen ~(ceilings : itv array) ~(into : env) (from : env) :
+let join_env ~widen ~(ceilings : Itv.t array) ~(into : env) (from : env) :
     env * bool =
   let changed = ref false in
   let vals =
@@ -281,9 +166,9 @@ let join_env ~widen ~(ceilings : itv array) ~(into : env) (from : env) :
           match (old, from.vals.(i)) with
           | Abool a, Abool b -> Abool (bv_join a b)
           | Aint a, Aint b ->
-              let j = itv_join a b in
+              let j = Itv.join a b in
               let j =
-                if widen && j <> a then itv_widen ~ceiling:ceilings.(i) ~prev:a j
+                if widen && j <> a then Itv.widen ~ceiling:ceilings.(i) ~prev:a j
                 else j
               in
               Aint j

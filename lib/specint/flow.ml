@@ -18,6 +18,7 @@
    bounds. *)
 
 module Check = Nfc_pdl.Check
+module Itv = Nfc_pdl.Itv
 module Opvec = Nfc_absint.Opvec
 module Iset = Set.Make (Int)
 
@@ -35,12 +36,12 @@ type clause_kind = [ `On | `Poll ]
 
 type station = {
   slots : Check.slot array;
-  ceilings : Dom.itv array;  (* declared domains, the post-action clamp *)
-  targets : Dom.itv array;
+  ceilings : Itv.t array;  (* declared domains, the post-action clamp *)
+  targets : Itv.t array;
       (* per-slot widening targets: the declared domain by default, a
          refinement-installed split interval when the CEGAR loop
-         re-runs the fixpoint on a partitioned slot ({!Dom.itv_split}).
-         Targets only steer where widening jumps — {!Dom.itv_widen}
+         re-runs the fixpoint on a partitioned slot ({!Itv.split}).
+         Targets only steer where widening jumps — {!Itv.widen}
          rounds outward past the join, so any target is sound. *)
   saturating : bool array;   (* counter slots with a saturation hook *)
   clauses : (Check.cclause * clause_kind) array;
@@ -69,8 +70,8 @@ let make_station ?(targets = []) (cs : Check.cstation) : station =
       (fun (s : Check.slot) ->
         match s.Check.kind with
         | Check.Kbool b -> Dom.Abool (Dom.bv_of_bool b)
-        | Check.Krange (_, _, init) -> Dom.Aint (Dom.point init)
-        | Check.Kcounter (init, _) -> Dom.Aint (Dom.point init)
+        | Check.Krange (_, _, init) -> Dom.Aint (Itv.point init)
+        | Check.Kcounter (init, _) -> Dom.Aint (Itv.point init)
         | Check.Kqueue _ -> Dom.Aqueue Opvec.empty)
       slots
   in
@@ -78,8 +79,8 @@ let make_station ?(targets = []) (cs : Check.cstation) : station =
     Array.map
       (fun (s : Check.slot) ->
         match s.Check.kind with
-        | Check.Krange (lo, hi, _) -> { Dom.lo; hi }
-        | _ -> { Dom.lo = 0; hi = Dom.omega })
+        | Check.Krange (lo, hi, _) -> { Itv.lo; hi }
+        | _ -> { Itv.lo = 0; hi = Itv.omega })
       slots
   in
   let saturating =
@@ -105,7 +106,7 @@ let make_station ?(targets = []) (cs : Check.cstation) : station =
     targets = widen_targets;
     saturating;
     clauses;
-    env = { Dom.vals = init; binder = Dom.itv_top };
+    env = { Dom.vals = init; binder = Itv.top };
     feasible = Array.make (Array.length clauses) false;
   }
 
@@ -114,10 +115,10 @@ let make_station ?(targets = []) (cs : Check.cstation) : station =
 (* Concrete packet values a family emit can produce when its parameter
    ranges over [iv] (clamped to the declared parameter range — the
    checker guarantees containment, the clamp keeps us total). *)
-let family_packets (fam : Check.cfamily) (iv : Dom.itv) : Iset.t =
+let family_packets (fam : Check.cfamily) (iv : Itv.t) : Iset.t =
   if not fam.Check.has_param then Iset.singleton fam.Check.base
   else
-    let lo = max fam.Check.plo iv.Dom.lo and hi = min fam.Check.phi iv.Dom.hi in
+    let lo = max fam.Check.plo iv.Itv.lo and hi = min fam.Check.phi iv.Itv.hi in
     let rec go v acc =
       if v > hi then acc
       else go (v + 1) (Iset.add (fam.Check.base + (v - fam.Check.plo)) acc)
@@ -126,7 +127,7 @@ let family_packets (fam : Check.cfamily) (iv : Dom.itv) : Iset.t =
 
 (* Parameter interval of the incoming packets of [fam] present in
    [alpha]; [None] when no packet of the family can arrive. *)
-let binder_of_family (fam : Check.cfamily) (alpha : Iset.t) : Dom.itv option =
+let binder_of_family (fam : Check.cfamily) (alpha : Iset.t) : Itv.t option =
   let lo_pkt = fam.Check.base
   and hi_pkt = fam.Check.base + (fam.Check.phi - fam.Check.plo) in
   let params =
@@ -134,16 +135,18 @@ let binder_of_family (fam : Check.cfamily) (alpha : Iset.t) : Dom.itv option =
     |> Iset.map (fun p -> fam.Check.plo + (p - fam.Check.base))
   in
   match (Iset.min_elt_opt params, Iset.max_elt_opt params) with
-  | Some lo, Some hi -> Some { Dom.lo; hi }
+  | Some lo, Some hi -> Some { Itv.lo; hi }
   | _ -> None
 
 (* ---- clause transfer ------------------------------------------------ *)
 
-(* Post-action clamp: range/counter slots meet their declared domain
-   (the checker proved containment, so the meet is never empty on
-   feasible paths — an empty meet marks the path infeasible), and
-   saturating counters keep a 0 floor (saturation may shrink them to any
-   cap at any time). *)
+(* Post-action clamp: range/counter slots meet their declared domain,
+   and saturating counters keep a 0 floor (saturation may shrink them to
+   any cap at any time).  The checker proved containment from the whole
+   declared box with the same {!Itv} arithmetic and guard narrowing, and
+   this env lies inside that box, so by monotonicity the meet is never
+   empty on a feasible path; an empty meet would mark the path
+   infeasible. *)
 let clamp (st : station) (e : Dom.env) : Dom.env option =
   let ok = ref true in
   let vals =
@@ -151,14 +154,14 @@ let clamp (st : station) (e : Dom.env) : Dom.env option =
       (fun i v ->
         match v with
         | Dom.Aint iv -> (
-            match Dom.itv_meet iv st.ceilings.(i) with
+            match Itv.meet iv st.ceilings.(i) with
             | None ->
                 ok := false;
                 v
             | Some iv ->
                 let iv =
-                  if st.saturating.(i) && iv.Dom.lo > 0 then
-                    { iv with Dom.lo = 0 }
+                  if st.saturating.(i) && iv.Itv.lo > 0 then
+                    { iv with Itv.lo = 0 }
                   else iv
                 in
                 Dom.Aint iv)
@@ -174,15 +177,15 @@ let apply_action (st : station) (e : Dom.env) (a : Check.caction) : Dom.env =
       (match st.slots.(i).Check.kind with
       | Check.Kbool _ -> vals.(i) <- Dom.Abool (Dom.as_bv (Dom.eval e ce))
       | Check.Krange _ | Check.Kcounter _ ->
-          let v = Dom.as_itv (Dom.eval e ce) in
+          let v = Dom.as_iv (Dom.eval e ce) in
           let cur =
-            match e.Dom.vals.(i) with Dom.Aint iv -> iv | _ -> Dom.itv_top
+            match e.Dom.vals.(i) with Dom.Aint iv -> iv | _ -> Itv.top
           in
           let next =
             match op with
             | `Assign -> v
-            | `Add -> Dom.itv_add cur v
-            | `Sub -> Dom.itv_sub cur v
+            | `Add -> Itv.add cur v
+            | `Sub -> Itv.sub cur v
           in
           vals.(i) <- Dom.Aint next
       | Check.Kqueue _ -> () (* checker rejects set on queues *));
@@ -190,8 +193,8 @@ let apply_action (st : station) (e : Dom.env) (a : Check.caction) : Dom.env =
   | Check.CApush (qi, fam, arg) ->
       let iv =
         match arg with
-        | None -> Dom.point 0
-        | Some ce -> Dom.as_itv (Dom.eval e ce)
+        | None -> Itv.point 0
+        | Some ce -> Dom.as_iv (Dom.eval e ce)
       in
       let pkts = family_packets fam iv in
       let vals = Array.copy e.Dom.vals in
@@ -231,8 +234,8 @@ let fire (st : station) (e : Dom.env) (c : Check.cclause) : fired option =
           | Some (Check.CEsend (fam, arg)) ->
               let iv =
                 match arg with
-                | None -> Dom.point 0
-                | Some ce -> Dom.as_itv (Dom.eval e' ce)
+                | None -> Itv.point 0
+                | Some ce -> Dom.as_iv (Dom.eval e' ce)
               in
               family_packets fam iv
           | Some (Check.CEsend_from q) -> (
@@ -272,8 +275,8 @@ type result = {
    an ω-accelerated count)? — the condition the widening witness
    records. *)
 let aval_unbounded = function
-  | Dom.Aint iv -> iv.Dom.hi = Dom.omega
-  | Dom.Aqueue q -> Opvec.fold (fun _ c acc -> acc || c = Dom.omega) q false
+  | Dom.Aint iv -> iv.Itv.hi = Itv.omega
+  | Dom.Aqueue q -> Opvec.fold (fun _ c acc -> acc || c = Opvec.omega) q false
   | Dom.Abool _ -> false
 
 (* One chaotic-iteration round over a station: fire every clause against
@@ -290,7 +293,7 @@ let step ~widen ~name ~iter ~(events : widen_event list ref) (st : station)
     (fun idx (c, _kind) ->
       let starts =
         match c.Check.trig with
-        | Some Check.CTsubmit | None -> [ { st.env with Dom.binder = Dom.itv_top } ]
+        | Some Check.CTsubmit | None -> [ { st.env with Dom.binder = Itv.top } ]
         | Some (Check.CTpacket fam) -> (
             match binder_of_family fam incoming with
             | None -> []
@@ -315,7 +318,7 @@ let step ~widen ~name ~iter ~(events : widen_event list ref) (st : station)
                   let before = st.env in
                   let joined, c' =
                     Dom.join_env ~widen ~ceilings:st.targets ~into:st.env
-                      { post with Dom.binder = Dom.itv_top }
+                      { post with Dom.binder = Itv.top }
                   in
                   if c' then begin
                     if widen then
@@ -356,7 +359,7 @@ let measure (st : station) : int * string list =
            let m =
              match v with
              | Dom.Abool b -> Dom.bv_size b
-             | Dom.Aint iv -> Dom.itv_size iv
+             | Dom.Aint iv -> Itv.size iv
              | Dom.Aqueue q ->
                  (* Queue states are sequences over the support with
                     length at most the total count: sum_{k<=len} |sup|^k. *)
@@ -365,7 +368,7 @@ let measure (st : station) : int * string list =
                    Opvec.fold (fun _ c acc -> Opvec.sat_add c acc) q 0
                  in
                  if sup = 0 then 1
-                 else if len = Dom.omega then Dom.omega
+                 else if len = Opvec.omega then Opvec.omega
                  else
                    let rec geo k acc term =
                      if k > len then acc
@@ -375,7 +378,7 @@ let measure (st : station) : int * string list =
                    in
                    geo 1 1 1
            in
-           if m = Dom.omega then
+           if m = Itv.omega then
              omega_slots := st.slots.(i).Check.sname :: !omega_slots;
            m)
     |> List.fold_left Opvec.sat_mul 1

@@ -193,6 +193,125 @@ let test_checker_warnings () =
   assert_contains "unsatisfiable guard" msgs "clause can never fire";
   assert_contains "shadowed clause" msgs "shadowed by an earlier clause"
 
+(* Every diagnostic is an error (the CLI's exit 2) and the first one sits
+   at [line]:[col] and carries [msg]. *)
+let assert_rejected_at what src ~msg ~line ~col =
+  match compile_errs src with
+  | [] -> Alcotest.fail (what ^ ": no diagnostic")
+  | d :: _ as ds ->
+      checkb (what ^ ": all errors (exit 2)") true
+        (List.for_all (fun d -> d.Diag.severity = Diag.Error) ds);
+      assert_contains what d.Diag.message msg;
+      checki (what ^ ": line") line d.Diag.span.Diag.first.Diag.line;
+      checki (what ^ ": col") col d.Diag.span.Diag.first.Diag.col
+
+let sender_assigning rhs =
+  Printf.sprintf
+    {|protocol "p" {
+  packets { ping }
+  sender {
+    var y : 0 .. 2 = 1
+    var x : 0 .. 3 = 0
+    on submit { x = %s }
+    poll -> send ping
+  }
+  receiver { on ping }
+}
+|}
+    rhs
+
+let sender_counting act =
+  Printf.sprintf
+    {|protocol "p" {
+  packets { ping }
+  sender {
+    var x : 0 .. 3 = 0
+    counter c = 0
+    on submit { %s }
+    poll when c < 0 -> send ping { x = 100 }
+    poll -> send ping
+  }
+  receiver { on ping }
+}
+|}
+    act
+
+let test_checker_wrapping_arithmetic () =
+  (* Every right-hand side wraps on native ints (to min_int at y = 1, to
+     0, and each counter write to min_int by the second submit): the
+     saturating interval arithmetic must see past the wrap and refuse the
+     assignment.  Counters are unbounded above, so a counter write is
+     refused when some sub-computation overflows on every state; were it
+     accepted, [c < 0] would look infeasible and the out-of-range
+     [x = 100] behind it would go unchecked. *)
+  let range = "cannot prove \"x\" stays within its declared range 0 .. 3"
+  and counter = "cannot prove counter \"c\" stays non-negative" in
+  List.iter
+    (fun (spec, rhs, msg) -> assert_rejected_at rhs (spec rhs) ~msg ~line:6 ~col:17)
+    [
+      (sender_assigning, "y * (2147483648 * 2147483648)", range);
+      (sender_assigning, "4611686018427387903 + 4611686018427387903 + 2", range);
+      (sender_counting, "c = 4611686018427387903 + 1", counter);
+      (sender_counting, "c = 2147483648 * 2147483648", counter);
+      (sender_counting, "c = c * (2147483648 * 2147483648) + 1", counter);
+    ]
+
+let test_checker_overflowing_widths () =
+  List.iter
+    (fun (what, src, msg, line, col) -> assert_rejected_at what src ~msg ~line ~col)
+    [
+      ( "range span",
+        {|protocol "p" {
+  packets { ping }
+  sender {
+    var x : -4611686018427387903 .. 4611686018427387903 = 0
+    poll -> send ping
+  }
+  receiver { on ping }
+}
+|},
+        "range wider than 4096 values", 4, 13 );
+      ( "family size",
+        {|protocol "p" {
+  packets { data(b : 0 .. 4611686018427387903) }
+  sender { poll -> send data(0) }
+  receiver { on data }
+}
+|},
+        "packet alphabet exceeds 64 distinct values", 2, 13 );
+      ( "constant folding",
+        {|protocol "p" {
+  const c = 4611686018427387903
+  const d = c + c + 4
+  packets { ping }
+  sender { poll -> send ping }
+  receiver { on ping }
+}
+|},
+        "constant expression overflows", 3, 13 );
+    ]
+
+let test_checker_counter_product () =
+  (* ω times a positive constant is ω, not ⊤: doubling a counter keeps it
+     non-negative, exactly like adding it to itself. *)
+  List.iter
+    (fun act ->
+      ignore
+        (compile_ok
+           (Printf.sprintf
+              {|protocol "p" {
+  packets { ping }
+  sender {
+    counter c = 0
+    on submit { %s }
+    poll -> send ping
+  }
+  receiver { on ping }
+}
+|}
+              act)))
+    [ "c = c * 2"; "c += c" ]
+
 (* ------------------------------------------------- registry integration *)
 
 let test_registry_suggestion () =
@@ -486,6 +605,9 @@ let suite =
     ("checker: range violation", `Quick, test_checker_range_violation);
     ("checker: duplicate declaration", `Quick, test_checker_duplicate_decl);
     ("checker: exhaustiveness warnings", `Quick, test_checker_warnings);
+    ("checker: wrapping arithmetic is refused", `Quick, test_checker_wrapping_arithmetic);
+    ("checker: overflowing widths are located", `Quick, test_checker_overflowing_widths);
+    ("checker: counter doubling is non-negative", `Quick, test_checker_counter_product);
     ("registry: did-you-mean suggestions", `Quick, test_registry_suggestion);
     ("registry: file loader", `Quick, test_file_loader);
     ("differential: bounded lint is byte-identical", `Quick, test_differential_lint_bounded);

@@ -4,14 +4,15 @@
    (pumped_counter's only candidate invariant is concretely refuted and
    surfaces as a located R1 fail), domain-arithmetic laws the split
    machinery leans on (saturation at the ω ceiling, accelerate
-   idempotence, split/join round-trips), certificate provenance
+   idempotence, split/join round-trips, interval arithmetic that
+   saturates exactly where native ints wrap), certificate provenance
    (refine_rounds), and the per-round soundness property: every report
    in the refinement history — not just the final one — must agree with
    (or stay unknown against) a bounded exploration, on arbitrary and
    byte-mutated specs. *)
 
 module Pdl = Nfc_pdl.Pdl
-module Dom = Nfc_specint.Dom
+module Itv = Nfc_pdl.Itv
 module Opvec = Nfc_absint.Opvec
 module Specint = Nfc_specint.Specint
 module Refine = Nfc_refine.Refine
@@ -46,7 +47,7 @@ let test_flooding_promoted () =
   let _, res = refine_file "flooding_counter.nfc" in
   (* One-shot: the submit-guarded credit counter widens to ω. *)
   checkb "base product is omega" true
-    (res.Refine.base.Specint.product = Dom.omega);
+    (res.Refine.base.Specint.product = Itv.omega);
   checkb "base B1 carries why-provenance" true
     (match (find_verdict res.Refine.base "B1").Specint.why with
     | Some w -> contains w "widened slot" && contains w "credit"
@@ -73,7 +74,7 @@ let test_flooding_requires_refinement () =
   match Pdl.compile_file path with
   | Ok c ->
       let rep = Specint.analyze c.Pdl.checked in
-      checkb "one-shot product is omega" true (rep.Specint.product = Dom.omega)
+      checkb "one-shot product is omega" true (rep.Specint.product = Itv.omega)
   | Error _ -> Alcotest.fail "flooding_counter.nfc must compile"
 
 (* ----------------------------------------------------- refutation pin *)
@@ -82,7 +83,7 @@ let test_pumped_refuted () =
   let _, res = refine_file "pumped_counter.nfc" in
   checkb "not promoted" false res.Refine.promoted;
   checkb "product still omega" true
-    (res.Refine.report.Specint.product = Dom.omega);
+    (res.Refine.report.Specint.product = Itv.omega);
   (match res.Refine.refuted with
   | [ r ] ->
       Alcotest.(check string) "refuted slot" "pending" r.Refine.rslot;
@@ -151,7 +152,9 @@ let test_saturation_at_omega () =
   checki "mul absorbs zero" 0 (Opvec.sat_mul w 0);
   (* Finite overflow rounds up to ω, never wraps negative. *)
   checki "add overflow is omega" w (Opvec.sat_add (w - 1) (w - 1));
-  checki "mul overflow is omega" w (Opvec.sat_mul (w / 2) 3)
+  checki "mul overflow is omega" w (Opvec.sat_mul (w / 2) 3);
+  (* The interval domain and the channel domain share one ω. *)
+  checki "Itv.omega is Opvec.omega" w Itv.omega
 
 let prop_saturation =
   QCheck.Test.make ~name:"sat_add/sat_mul stay in [0,ω] and are monotone"
@@ -201,20 +204,79 @@ let itv_arb =
         (triple (int_range (-5) 20) (int_range (-5) 20) (int_range (-8) 25)))
 
 let prop_split_join_roundtrip =
-  QCheck.Test.make ~name:"itv_split halves partition and join restores" ~count:500
+  QCheck.Test.make ~name:"Itv.split halves partition and join restores" ~count:500
     itv_arb
     (fun (lo, hi, c) ->
-      let iv = { Dom.lo; hi } in
-      match Dom.itv_split iv c with
+      let iv = { Itv.lo; hi } in
+      match Itv.split iv c with
       | None -> c < lo || c >= hi (* only degenerate cuts are refused *)
       | Some (a, b) ->
-          a.Dom.lo = lo && b.Dom.hi = hi
-          && a.Dom.hi = c
-          && b.Dom.lo = c + 1
-          && Dom.itv_join a b = iv
-          && Dom.itv_meet a b = None
-          && Dom.itv_size iv
-             = Opvec.sat_add (Dom.itv_size a) (Dom.itv_size b))
+          a.Itv.lo = lo && b.Itv.hi = hi
+          && a.Itv.hi = c
+          && b.Itv.lo = c + 1
+          && Itv.join a b = iv
+          && Itv.meet a b = None
+          && Itv.size iv = Opvec.sat_add (Itv.size a) (Itv.size b))
+
+(* Interval endpoints and points drawn near 0, near ±2^31 (where a
+   product first wraps) and near ±ω = ±max_int (where a sum does). *)
+let bound_gen =
+  let open QCheck.Gen in
+  let near c = map (fun d -> max Itv.neg_omega (min Itv.omega (c + d))) (int_range (-3) 3) in
+  oneof
+    [ near 0; near (1 lsl 31); near (-(1 lsl 31)); near Itv.omega; near Itv.neg_omega;
+      int_range (-1000) 1000 ]
+
+(* Two intervals and one point inside each. *)
+let arith_arb =
+  let open QCheck.Gen in
+  let itv_with_point =
+    map
+      (fun (a, b, x) ->
+        let lo = min a b and hi = max a b in
+        ({ Itv.lo; hi }, max lo (min hi x)))
+      (triple bound_gen bound_gen bound_gen)
+  in
+  QCheck.make
+    ~print:(fun ((a, x), (b, y)) ->
+      Format.asprintf "%a ∋ %d, %a ∋ %d" Itv.pp a x Itv.pp b y)
+    (pair itv_with_point itv_with_point)
+
+(* Where the exact result of a native op on [x], [y] falls: [`Above] /
+   [`Below] when it leaves [-ω, ω] (native ints wrapped, or it is
+   exactly min_int), else [`In r]. *)
+let exact_add x y =
+  let r = x + y in
+  if x > 0 && y > 0 && r < 0 then `Above
+  else if x < 0 && y < 0 && (r >= 0 || r = min_int) then `Below
+  else `In r
+
+let exact_mul x y =
+  if x = 0 || y = 0 then `In 0
+  else
+    let r = x * y in
+    if r / y <> x || r = min_int then if x > 0 = (y > 0) then `Above else `Below
+    else `In r
+
+let prop_itv_arith_sound =
+  QCheck.Test.make
+    ~name:"Itv add/sub/mul contain every unwrapped result, reach ±ω where it wraps"
+    ~count:2000 arith_arb
+    (fun ((a, x), (b, y)) ->
+      let holds name (res : Itv.t) = function
+        | `In r ->
+            res.Itv.lo <= r && r <= res.Itv.hi
+            || QCheck.Test.fail_reportf "%s: %d outside %a" name r Itv.pp res
+        | `Above ->
+            res.Itv.hi = Itv.omega
+            || QCheck.Test.fail_reportf "%s: wrapped above, got %a" name Itv.pp res
+        | `Below ->
+            res.Itv.lo = Itv.neg_omega
+            || QCheck.Test.fail_reportf "%s: wrapped below, got %a" name Itv.pp res
+      in
+      holds "add" (Itv.add a b) (exact_add x y)
+      && holds "sub" (Itv.sub a b) (exact_add x (-y))
+      && holds "mul" (Itv.mul a b) (exact_mul x y))
 
 (* ------------------------------------------ per-round soundness property *)
 
@@ -255,7 +317,7 @@ let refined_agreement src =
         in
         let product_ok =
           (not rep.Specint.converged)
-          || rep.Specint.product = Dom.omega
+          || rep.Specint.product = Itv.omega
           || cert.Lint.Certificate.k_t * cert.Lint.Certificate.k_r
              <= rep.Specint.product
         in
@@ -307,6 +369,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_saturation;
     QCheck_alcotest.to_alcotest prop_accelerate_idempotent;
     QCheck_alcotest.to_alcotest prop_split_join_roundtrip;
+    QCheck_alcotest.to_alcotest prop_itv_arith_sound;
     QCheck_alcotest.to_alcotest prop_refined_agreement;
     QCheck_alcotest.to_alcotest prop_refined_agreement_mutated;
   ]

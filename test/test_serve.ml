@@ -504,19 +504,32 @@ let test_e2e_protocol_submission () =
 
 let test_e2e_protocol_submission_errors () =
   with_server (fun port ->
-      (* Uncompilable spec -> 400 with located diagnostics. *)
-      let status, _, body =
-        request ~port ~meth:"POST" ~target:"/v1/protocols" ~body:"protocol \"x\" {" ()
-      in
-      checki "compile error" 400 status;
-      (match J.of_string body with
-      | Ok j -> (
-          match J.member "diagnostics" j with
-          | Some (J.List (d :: _)) ->
-              checkb "line present" true (J.member "line" d <> None);
-              checkb "col present" true (J.member "col" d <> None)
-          | _ -> Alcotest.fail "expected a non-empty diagnostics array")
-      | Error e -> Alcotest.fail e);
+      (* Uncompilable spec -> 400 with located diagnostics: a parse error,
+         and a range whose width overflows native ints. *)
+      List.iter
+        (fun src ->
+          let status, _, body = request ~port ~meth:"POST" ~target:"/v1/protocols" ~body:src () in
+          checki "compile error" 400 status;
+          match J.of_string body with
+          | Ok j -> (
+              match J.member "diagnostics" j with
+              | Some (J.List (d :: _)) ->
+                  checkb "line present" true (J.member "line" d <> None);
+                  checkb "col present" true (J.member "col" d <> None)
+              | _ -> Alcotest.fail "expected a non-empty diagnostics array")
+          | Error e -> Alcotest.fail e)
+        [
+          "protocol \"x\" {";
+          {|protocol "x" {
+  packets { ping }
+  sender {
+    var x : -4611686018427387903 .. 4611686018427387903 = 0
+    poll -> send ping
+  }
+  receiver { on ping }
+}
+|};
+        ];
       (* Oversized source -> 413, counted as too_large. *)
       let status, _, _ =
         request ~port ~meth:"POST" ~target:"/v1/protocols"
