@@ -124,7 +124,7 @@ module Make (P : Spec.S) = struct
       in
       loop (Deque.push_front (0, start) Deque.empty) 0
     in
-    List.map probe configs
+    List.map (fun c -> (c, probe c)) configs
 
   let take n xs =
     let rec go n acc = function
@@ -134,9 +134,11 @@ module Make (P : Spec.S) = struct
     in
     go n [] xs
 
-  (* Deal [xs] round-robin into [k] chunks.  Chunking is a performance
-     knob only: probe results are aggregated commutatively, so chunk
-     boundaries never change the report. *)
+  (* Deal [xs] round-robin into [k] chunks, so the concatenated chunk
+     results are not in input order.  Chunking is still a performance knob
+     only: each probe result travels with its configuration and is mapped
+     back by station pair, and the aggregation (max, count) is commutative,
+     so chunk boundaries never change the report. *)
   let chunk k xs =
     let k = max 1 (min k (List.length xs)) in
     List.init k (fun j -> List.filteri (fun i _ -> i mod k = j) xs)
@@ -204,14 +206,29 @@ module Make (P : Spec.S) = struct
         take budget (List.map snd sorted)
       end
     in
-    let costs =
-      List.concat
-        (Pool.map ~jobs
-           (probe_chunk probe_bounds)
-           (chunk (if jobs <= 0 then Pool.recommended () else jobs) sampled))
+    (* A probe starts from [(sender, receiver, ∅, ∅)] with zero counters
+       (in-transit packets are frozen by the definition), so its result is
+       a function of the station pair [(sid, rid)]: probe one
+       representative per pair, at most k_t * k_r of them, and key the
+       results back onto every sampled configuration.  [probes_exhausted]
+       still counts configurations. *)
+    let pair c = (c.E.sid, c.E.rid) in
+    let seen = Hashtbl.create 1024 in
+    let reps =
+      List.filter
+        (fun c ->
+          let fresh = not (Hashtbl.mem seen (pair c)) in
+          if fresh then Hashtbl.add seen (pair c) ();
+          fresh)
+        sampled
     in
-    (* Max + count are order-independent, so neither chunking nor parallel
-       completion order can change the report. *)
+    let results = Hashtbl.create (Hashtbl.length seen) in
+    List.iter
+      (List.iter (fun (c, cost) -> Hashtbl.replace results (pair c) cost))
+      (Pool.map ~jobs
+         (probe_chunk probe_bounds)
+         (chunk (if jobs <= 0 then Pool.recommended () else jobs) reps));
+    let costs = List.map (fun c -> Hashtbl.find results (pair c)) sampled in
     let exhausted = List.length (List.filter Option.is_none costs) in
     let boundness =
       if exhausted > 0 then None

@@ -5,13 +5,16 @@
     using at most k [send_pkt^{t->r}] actions, without delivering any
     packet that was already in transit.
 
-    [probe] computes that minimum for one reachable configuration by
+    A probe computes that minimum for one reachable configuration by
     uniform-cost search: old in-transit packets are frozen (per the
     definition), fresh packets may be delivered at will, and only forward
-    sends cost 1.  [measure] takes the maximum over reachable
-    one-message-pending configurations and reports it next to the
-    k_t * k_r state-product bound of Theorem 2.1 — the measured boundness
-    must never exceed the product for finite-control protocols. *)
+    sends cost 1.  So a probe starts from [(sender, receiver, ∅, ∅)] with
+    zero counters, and its result is a function of the station pair
+    [(sid, rid)] alone.  [measure] takes the maximum over reachable
+    one-message-pending configurations, probing each distinct pair once
+    (at most k_t * k_r probes), and reports it next to the k_t * k_r
+    state-product bound of Theorem 2.1 — the measured boundness must
+    never exceed the product for finite-control protocols. *)
 
 type probe_bounds = {
   max_nodes : int;  (** visited-set limit per probe *)
@@ -75,11 +78,15 @@ end
     visited-set order), for callers (the linter) that need a bounded-cost
     sample rather than the exact explored maximum.
 
-    [jobs] (default 1) fans the probes out over that many domains; each
-    probe is self-contained, and the aggregation (max over costs, count of
-    exhausted probes) is order-independent, so the report is identical at
-    any job count.  [checkpoint] is the cooperative cancellation hook
-    threaded into the exploration. *)
+    Configurations sharing a station pair share one probe, whose result
+    is mapped back onto each of them, so [probes_exhausted] still counts
+    configurations.  [jobs] (default 1) fans the distinct-pair probes out
+    over that many domains; each probe is self-contained, its result is
+    keyed by its pair rather than by its position in the fan-out, and the
+    aggregation (max over costs, count of exhausted configurations) is
+    order-independent, so the report is identical at any job count.
+    [checkpoint] is the cooperative cancellation hook threaded into the
+    exploration. *)
 val measure :
   ?max_probes:int ->
   ?jobs:int ->

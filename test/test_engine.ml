@@ -95,13 +95,26 @@ let test_reach_phantom_scan_matches_search () =
 
 (* -------------------------------------------- boundness differential *)
 
+(* The reference probes every sampled configuration; the engine probes
+   one per station pair and maps the results back.  Comparing at two job
+   counts (chunks deal round-robin, so results come back out of input
+   order) and over the whole semi-valid set pins that keying is exact and
+   that [probes_exhausted] still counts configurations. *)
 let test_boundness_reports_agree () =
+  let exhausted = ref 0 in
   List.iter
     (fun proto ->
       let got = Boundness.measure ~max_probes:100 proto ~explore:bounds ~probe in
       let want = Reference.measure_boundness ~max_probes:100 proto ~explore:bounds ~probe in
-      checkb (name_of proto ^ " boundness report") true (got = want))
-    (registry ())
+      checkb (name_of proto ^ " boundness report") true (got = want);
+      let got4 = Boundness.measure ~max_probes:100 ~jobs:4 proto ~explore:bounds ~probe in
+      checkb (name_of proto ^ " boundness report at jobs=4") true (got4 = want);
+      let all = Boundness.measure proto ~explore:bounds ~probe in
+      let want_all = Reference.measure_boundness proto ~explore:bounds ~probe in
+      checkb (name_of proto ^ " boundness report, every configuration") true (all = want_all);
+      exhausted := !exhausted + want_all.Boundness.probes_exhausted)
+    (registry ());
+  checkb "some probe exhausts its budget" true (!exhausted > 0)
 
 (* The linter's one-pass path: a phantom-free ungated reach handed to
    [measure] must yield the identical report the gated pass computes. *)
