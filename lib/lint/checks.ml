@@ -126,17 +126,42 @@ module Make (P : Spec.S) = struct
     end in
     let module B = Boundness.Make (G) in
     let module E = B.E in
-    let reach = E.reachable_set ~checkpoint:cfg.checkpoint cfg.bounds in
+    (* Q1 needs to know which configurations have a move other than a
+       user submission; the sweep sees every move of every held
+       configuration, so it records that bit per id as it goes. *)
+    let progress = ref (Bytes.make 64 '\000') in
+    let on_edge src act _ =
+      match act with
+      | Some (Nfc_automata.Action.Send_msg _) -> ()
+      | _ ->
+          let b = !progress in
+          if src >= Bytes.length b then begin
+            progress := Bytes.make (max (src + 1) (2 * Bytes.length b)) '\000';
+            Bytes.blit b 0 !progress 0 (Bytes.length b)
+          end;
+          Bytes.set !progress src '\001'
+    in
+    let reach = E.reachable_set ~checkpoint:cfg.checkpoint ~on_edge cfg.bounds in
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
+    let census seen alpha ch =
+      if not (Hashtbl.mem seen ch) then begin
+        Hashtbl.add seen ch ();
+        Nfc_mcheck.Pvec.fold
+          (fun id _ () -> alpha := Iset.add (Nfc_mcheck.Pvec.Index.packet E.pkts id) !alpha)
+          (E.chan ch) ()
+      end
+    in
+    let tr_seen = Hashtbl.create 64 and rt_seen = Hashtbl.create 64 in
     let sender_by_id : (int, P.sender) Hashtbl.t = Hashtbl.create 64 in
     let receiver_by_id : (int, P.receiver) Hashtbl.t = Hashtbl.create 64 in
     List.iter
       (fun (c : E.config) ->
         (* Interned-id equality is comparator equality, so deduping on the
            id visits each distinct station state — and poll-probes it —
-           exactly once instead of once per configuration. *)
+           exactly once instead of once per configuration; likewise each
+           distinct channel is decoded once. *)
         if not (Hashtbl.mem sender_by_id c.E.sid) then begin
           Hashtbl.add sender_by_id c.E.sid c.E.sender;
           (* Poll probes catch emissions the capacity bound suppressed. *)
@@ -155,8 +180,8 @@ module Make (P : Spec.S) = struct
               record "receiver_poll" None
                 (Format.asprintf "%a" P.pp_receiver c.E.receiver) e
         end;
-        List.iter (fun (p, _) -> atr := Iset.add p !atr) (E.packets_tr c);
-        List.iter (fun (p, _) -> art := Iset.add p !art) (E.packets_rt c))
+        census tr_seen atr c.E.tr;
+        census rt_seen art c.E.rt)
       reach.E.configs;
     let senders =
       ref (Sset.of_list (Hashtbl.fold (fun _ s acc -> s :: acc) sender_by_id []))
@@ -278,26 +303,17 @@ module Make (P : Spec.S) = struct
     (* ----------------------- Q1: quiescence / dead configurations *)
     let dead = ref 0 in
     let dead_witness = ref None in
-    List.iter
-      (fun (c : E.config) ->
-        if c.E.submitted > c.E.delivered then begin
-          let progress =
-            List.exists
-              (fun (act, _) ->
-                match act with
-                | Some (Nfc_automata.Action.Send_msg _) -> false
-                | _ -> true)
-              (E.successors cfg.bounds c)
-          in
-          if not progress then begin
-            incr dead;
-            if !dead_witness = None then
-              dead_witness :=
-                Some
-                  (Format.asprintf "sender %a, receiver %a, %d message(s) pending"
-                     P.pp_sender c.E.sender P.pp_receiver c.E.receiver
-                     (c.E.submitted - c.E.delivered))
-          end
+    let stuck id = id >= Bytes.length !progress || Bytes.get !progress id = '\000' in
+    List.iteri
+      (fun id (c : E.config) ->
+        if c.E.submitted > c.E.delivered && stuck id then begin
+          incr dead;
+          if !dead_witness = None then
+            dead_witness :=
+              Some
+                (Format.asprintf "sender %a, receiver %a, %d message(s) pending"
+                   P.pp_sender c.E.sender P.pp_receiver c.E.receiver
+                   (c.E.submitted - c.E.delivered))
         end)
       reach.E.configs;
     (* Warning, not error: for bounded-header registry protocols a stuck

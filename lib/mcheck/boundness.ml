@@ -57,9 +57,9 @@ module Make (P : Spec.S) = struct
      Probe states are the configurations of a fresh engine [F] per chunk
      (counters 0, channels holding fresh packets only), so they live in
      their own id space while every probe of the chunk shares [F]'s
-     interners and transition memos.  Sharing cannot change results: each
-     probe has its own visited table, and vectors only ever see ids the
-     probe itself added. *)
+     interners, channel ids and transition memos.  Sharing cannot change
+     results: each probe has its own visited table, and its channels only
+     ever hold packets the probe itself added. *)
   let probe_chunk (pb : probe_bounds) configs =
     let module F = Explore.Make (P) in
     let module Deque = Nfc_util.Deque in
@@ -80,7 +80,7 @@ module Make (P : Spec.S) = struct
               F.Ctbl.add visited st ();
               let dq = ref dq in
               let costless st = dq := Deque.push_front (cost, st) !dq in
-              let fresh pkt v = Pvec.add v (Pvec.Index.id F.pkts pkt) in
+              let fresh pkt ch = F.chan_add ch (Pvec.Index.id F.pkts pkt) in
               match F.step_receiver_poll st.F.receiver st.F.rid with
               | Some Spec.Rdeliver, _, _ -> Some cost (* Goal: a delivery is enabled. *)
               | emit, r', rid' ->
@@ -94,20 +94,22 @@ module Make (P : Spec.S) = struct
                       dq := Deque.push_back (cost + 1, st') !dq
                   | None, s', sid' ->
                       if sid' <> st.sid then costless { st with sender = s'; sid = sid' });
-                  Pvec.Index.iter_by_value F.pkts (fun id ->
-                      match Pvec.remove_one st.tr id with
-                      | Some tr ->
-                          let pkt = Pvec.Index.packet F.pkts id in
-                          let r', rid' = F.step_data st.receiver st.rid pkt in
-                          costless { st with receiver = r'; rid = rid'; tr }
-                      | None -> ());
-                  Pvec.Index.iter_by_value F.pkts (fun id ->
-                      match Pvec.remove_one st.rt id with
-                      | Some rt ->
-                          let pkt = Pvec.Index.packet F.pkts id in
-                          let s', sid' = F.step_ack st.sender st.sid pkt in
-                          costless { st with sender = s'; sid = sid'; rt }
-                      | None -> ());
+                  for i = 0 to Pvec.Index.size F.pkts - 1 do
+                    let p = Pvec.Index.nth_by_value F.pkts i in
+                    let tr = F.chan_remove st.tr p in
+                    if tr >= 0 then begin
+                      let r', rid' = F.step_data_id st.receiver st.rid p in
+                      costless { st with receiver = r'; rid = rid'; tr }
+                    end
+                  done;
+                  for i = 0 to Pvec.Index.size F.pkts - 1 do
+                    let p = Pvec.Index.nth_by_value F.pkts i in
+                    let rt = F.chan_remove st.rt p in
+                    if rt >= 0 then begin
+                      let s', sid' = F.step_ack_id st.sender st.sid p in
+                      costless { st with sender = s'; sid = sid'; rt }
+                    end
+                  done;
                   loop !dq (n_visited + 1))
       in
       let start =
@@ -116,8 +118,8 @@ module Make (P : Spec.S) = struct
           sid = F.intern_sender c.E.sender;
           receiver = c.E.receiver;
           rid = F.intern_receiver c.E.receiver;
-          tr = Pvec.empty;
-          rt = Pvec.empty;
+          tr = F.chan_of_pvec Pvec.empty;
+          rt = F.chan_of_pvec Pvec.empty;
           submitted = 0;
           delivered = 0;
         }
@@ -143,18 +145,29 @@ module Make (P : Spec.S) = struct
     let k = max 1 (min k (List.length xs)) in
     List.init k (fun j -> List.filteri (fun i _ -> i mod k = j) xs)
 
-  (* Rank the distinct interned states of [configs] by their comparator,
-     so configurations can then be ordered on integer keys alone. *)
-  let rank_states get_id get_state cmp configs =
-    let states = Hashtbl.create 64 in
+  (* Rank the distinct interned ids [get_id] takes over [configs] by [cmp]
+     on what they stand for, so configurations can then be ordered on
+     integer keys alone: [ranks.(id)] is the rank of [id].  Interned-id
+     equality is [cmp] equality, so ranks never tie. *)
+  let rank get_id get_value cmp configs =
+    let seen = Hashtbl.create 64 in
     List.iter
-      (fun c -> if not (Hashtbl.mem states (get_id c)) then Hashtbl.add states (get_id c) (get_state c))
+      (fun c -> if not (Hashtbl.mem seen (get_id c)) then Hashtbl.add seen (get_id c) (get_value c))
       configs;
-    let items = Hashtbl.fold (fun id st acc -> (id, st) :: acc) states [] in
+    let items = Hashtbl.fold (fun id v acc -> (id, v) :: acc) seen [] in
     let sorted = List.sort (fun (_, a) (_, b) -> cmp a b) items in
-    let ranks = Hashtbl.create 64 in
-    List.iteri (fun rank (id, _) -> Hashtbl.replace ranks id rank) sorted;
+    let ranks = Array.make (List.fold_left (fun m (id, _) -> max m (id + 1)) 0 items) 0 in
+    List.iteri (fun r (id, _) -> ranks.(id) <- r) sorted;
     ranks
+
+  let compare_keys (a : int array) (b : int array) =
+    let rec go i =
+      if i = Array.length a then 0
+      else
+        let c = Int.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
   let measure ?max_probes ?(jobs = 1) ?checkpoint ?reach
       ~(explore : Explore.bounds) ~(probe_bounds : probe_bounds) () =
@@ -179,30 +192,32 @@ module Make (P : Spec.S) = struct
        subset the tree-based engine probed when it iterated its visited
        {e set}.  When every configuration is probed anyway, order is
        irrelevant (the aggregation is commutative) and the sort is
-       skipped.  The sort itself runs on precomputed integer keys:
-       comparator ranks for the states, decoded value-sorted association
-       lists for the channels — the same total order at a fraction of the
-       comparator calls. *)
+       skipped.  The sort itself runs on precomputed integer keys: the
+       ranks of the states under their comparators and of the channel ids
+       under their decoded value-sorted association lists — the same total
+       order at a fraction of the comparator calls. *)
     let sampled, skipped =
       if budget >= n_semi then (semi_valid, 0)
       else begin
-        let srank = rank_states (fun c -> c.E.sid) (fun c -> c.E.sender) P.compare_sender semi_valid in
-        let rrank =
-          rank_states (fun c -> c.E.rid) (fun c -> c.E.receiver) P.compare_receiver semi_valid
-        in
+        let srank = rank (fun c -> c.E.sid) (fun c -> c.E.sender) P.compare_sender semi_valid in
+        let rrank = rank (fun c -> c.E.rid) (fun c -> c.E.receiver) P.compare_receiver semi_valid in
+        let trrank = rank (fun c -> c.E.tr) E.packets_tr Stdlib.compare semi_valid in
+        let rtrank = rank (fun c -> c.E.rt) E.packets_rt Stdlib.compare semi_valid in
         let keyed =
           List.map
             (fun c ->
-              ( ( c.E.submitted,
-                  c.E.delivered,
-                  Hashtbl.find srank c.E.sid,
-                  Hashtbl.find rrank c.E.rid,
-                  E.packets_tr c,
-                  E.packets_rt c ),
+              ( [|
+                  c.E.submitted;
+                  c.E.delivered;
+                  srank.(c.E.sid);
+                  rrank.(c.E.rid);
+                  trrank.(c.E.tr);
+                  rtrank.(c.E.rt);
+                |],
                 c ))
             semi_valid
         in
-        let sorted = List.sort (fun (ka, _) (kb, _) -> Stdlib.compare ka kb) keyed in
+        let sorted = List.sort (fun (ka, _) (kb, _) -> compare_keys ka kb) keyed in
         take budget (List.map snd sorted)
       end
     in

@@ -113,73 +113,229 @@ module Make (P : Spec.S) = struct
 
   let pkts = Pvec.Index.create ()
 
+  (* Grow the array in [a] so that index [i] is valid, doubling; new
+     slots hold [fill]. *)
+  let reserve a i fill =
+    let old = !a in
+    if i >= Array.length old then begin
+      let b = Array.make (max (i + 1) (2 * Array.length old)) fill in
+      Array.blit old 0 b 0 (Array.length old);
+      a := b
+    end
+
+  (* [row rows i j fill]: row [i] of [rows], grown to cover index [j].
+     Rows are allocated on first use and sized to the packet alphabet
+     seen so far, not eagerly: refine and serve instantiate many small
+     engines. *)
+  let row rows i j fill =
+    reserve rows i [||];
+    let r = !rows.(i) in
+    if j < Array.length r then r
+    else begin
+      let r' = Array.make (max (j + 1) (Pvec.Index.size pkts)) fill in
+      Array.blit r 0 r' 0 (Array.length r);
+      !rows.(i) <- r';
+      r'
+    end
+
+  (* Channel contents interned into dense ids.  Under the capacity
+     bounds there are a few hundred distinct multisets, so a
+     configuration stores two small ints and every channel move is a
+     memo read: [add_rows.(ch).(p)] is the id of [ch] plus one packet
+     [p], [remove_rows.(ch).(p)] the id of [ch] minus one [p] ([-1] when
+     [p] is absent, [-2] not yet computed). *)
+  module Ptbl = Hashtbl.Make (struct
+    type t = Pvec.t
+
+    let equal = Pvec.equal
+    let hash = Pvec.hash
+  end)
+
+  let chan_ids : int Ptbl.t = Ptbl.create 64
+  let chans = ref (Array.make 16 Pvec.empty)
+  let cards = ref (Array.make 16 0)
+  let add_rows : int array array ref = ref (Array.make 16 [||])
+  let remove_rows : int array array ref = ref (Array.make 16 [||])
+
+  let chan_of_pvec v =
+    match Ptbl.find_opt chan_ids v with
+    | Some ch -> ch
+    | None ->
+        let ch = Ptbl.length chan_ids in
+        Ptbl.add chan_ids v ch;
+        reserve chans ch Pvec.empty;
+        !chans.(ch) <- v;
+        reserve cards ch 0;
+        !cards.(ch) <- Pvec.cardinal v;
+        ch
+
+  let chan ch = !chans.(ch)
+  let chan_card ch = !cards.(ch)
+  let chan_empty = chan_of_pvec Pvec.empty
+
+  let chan_add ch p =
+    let rows = !add_rows in
+    let r = if ch < Array.length rows then rows.(ch) else [||] in
+    if p < Array.length r && r.(p) >= 0 then r.(p)
+    else begin
+      let ch' = chan_of_pvec (Pvec.add (chan ch) p) in
+      (row add_rows ch p (-1)).(p) <- ch';
+      ch'
+    end
+
+  let chan_remove ch p =
+    let rows = !remove_rows in
+    let r = if ch < Array.length rows then rows.(ch) else [||] in
+    if p < Array.length r && r.(p) > -2 then r.(p)
+    else begin
+      let ch' =
+        match Pvec.remove_one (chan ch) p with Some v -> chan_of_pvec v | None -> -1
+      in
+      (row remove_rows ch p (-2)).(p) <- ch';
+      ch'
+    end
+
   type config = {
     sender : P.sender;
     sid : int;
     receiver : P.receiver;
     rid : int;
-    tr : Pvec.t;
-    rt : Pvec.t;
+    tr : int;
+    rt : int;
     submitted : int;
     delivered : int;
   }
 
-  (* Transition memo tables keyed on interned ids.  Spec transition
-     functions are pure, so each distinct (state, input) pair is computed
-     — and its result state interned — exactly once; afterwards a
-     successor state costs one small-int table probe instead of a
-     protocol call plus a structural hash.  (For instrumented specs that
-     record exceptions, e.g. the linter's partiality probe, this means
-     each distinct failing pair is recorded once rather than once per
-     visit.) *)
-  let memo tbl key f =
-    match Hashtbl.find_opt tbl key with
-    | Some v -> v
-    | None ->
-        let v = f () in
-        Hashtbl.add tbl key v;
-        v
+  (* Transition memos: dense arrays indexed by interned station id (and,
+     for inputs, rows indexed by packet id).  Spec transition functions
+     are pure, so each distinct (state, input) pair is computed — and its
+     result state interned — exactly once; afterwards a successor state
+     costs two array reads and returns the stored tuple, allocating
+     nothing.  An entry whose id is [-1] is not yet computed.  (For
+     instrumented specs that record exceptions, e.g. the linter's
+     partiality probe, each distinct failing pair is recorded once rather
+     than once per visit.) *)
+  let no_s = (P.sender_init, -1)
+  let no_r = (P.receiver_init, -1)
+  let no_spoll = (None, P.sender_init, -1)
+  let no_rpoll = (None, P.receiver_init, -1)
+  let submit_memo = ref (Array.make 16 no_s)
+  let spoll_memo = ref (Array.make 16 no_spoll)
+  let rpoll_memo = ref (Array.make 16 no_rpoll)
+  let ack_memo : (P.sender * int) array array ref = ref (Array.make 16 [||])
+  let data_memo : (P.receiver * int) array array ref = ref (Array.make 16 [||])
 
-  let submit_memo : (int, P.sender * int) Hashtbl.t = Hashtbl.create 256
-  let spoll_memo : (int, int option * P.sender * int) Hashtbl.t = Hashtbl.create 256
-  let rpoll_memo : (int, Spec.remit option * P.receiver * int) Hashtbl.t = Hashtbl.create 256
-  let ack_memo : (int * int, P.sender * int) Hashtbl.t = Hashtbl.create 512
-  let data_memo : (int * int, P.receiver * int) Hashtbl.t = Hashtbl.create 512
+  let store memo i none v =
+    reserve memo i none;
+    !memo.(i) <- v;
+    v
 
   (* The id-keyed steps are exposed (alongside the interners and the
      packet index) so sibling analyses over the same interned state space —
      the coverability engine of {!Nfc_absint.Cover} — share these memo
      tables instead of re-running protocol code. *)
   let step_submit s sid =
-    memo submit_memo sid (fun () ->
-        let s' = P.on_submit s in
-        (s', intern_sender s'))
+    let m = !submit_memo in
+    if sid < Array.length m && snd m.(sid) >= 0 then m.(sid)
+    else
+      let s' = P.on_submit s in
+      store submit_memo sid no_s (s', intern_sender s')
 
   let step_sender_poll s sid =
-    memo spoll_memo sid (fun () ->
+    let m = !spoll_memo in
+    match if sid < Array.length m then m.(sid) else no_spoll with
+    | (_, _, id) as v when id >= 0 -> v
+    | _ ->
         let emit, s' = P.sender_poll s in
-        (emit, s', intern_sender s'))
+        store spoll_memo sid no_spoll (emit, s', intern_sender s')
 
   let step_receiver_poll r rid =
-    memo rpoll_memo rid (fun () ->
+    let m = !rpoll_memo in
+    match if rid < Array.length m then m.(rid) else no_rpoll with
+    | (_, _, id) as v when id >= 0 -> v
+    | _ ->
         let emit, r' = P.receiver_poll r in
-        (emit, r', intern_receiver r'))
+        store rpoll_memo rid no_rpoll (emit, r', intern_receiver r')
 
-  let step_ack s sid pkt =
-    memo ack_memo (sid, pkt) (fun () ->
-        let s' = P.on_ack s pkt in
-        (s', intern_sender s'))
+  let step_ack_id s sid p =
+    let rows = !ack_memo in
+    let r = if sid < Array.length rows then rows.(sid) else [||] in
+    if p < Array.length r && snd r.(p) >= 0 then r.(p)
+    else begin
+      let s' = P.on_ack s (Pvec.Index.packet pkts p) in
+      let v = (s', intern_sender s') in
+      (row ack_memo sid p no_s).(p) <- v;
+      v
+    end
 
-  let step_data r rid pkt =
-    memo data_memo (rid, pkt) (fun () ->
-        let r' = P.on_data r pkt in
-        (r', intern_receiver r'))
+  let step_data_id r rid p =
+    let rows = !data_memo in
+    let m = if rid < Array.length rows then rows.(rid) else [||] in
+    if p < Array.length m && snd m.(p) >= 0 then m.(p)
+    else begin
+      let r' = P.on_data r (Pvec.Index.packet pkts p) in
+      let v = (r', intern_receiver r') in
+      (row data_memo rid p no_r).(p) <- v;
+      v
+    end
 
-  let on_submit c = step_submit c.sender c.sid
-  let sender_poll c = step_sender_poll c.sender c.sid
-  let receiver_poll c = step_receiver_poll c.receiver c.rid
-  let on_ack c pkt = step_ack c.sender c.sid pkt
-  let on_data c pkt = step_data c.receiver c.rid pkt
+  let step_ack s sid pkt = step_ack_id s sid (Pvec.Index.id pkts pkt)
+  let step_data r rid pkt = step_data_id r rid (Pvec.Index.id pkts pkt)
+
+  (* Move labels are shared, not rebuilt per edge: per packet id the six
+     channel labels, per counter value the message labels. *)
+  type labels = {
+    send_tr : Action.t option;
+    send_rt : Action.t option;
+    recv_tr : Action.t option;
+    recv_rt : Action.t option;
+    drop_tr : Action.t option;
+    drop_rt : Action.t option;
+  }
+
+  let pkt_labels = ref [||]
+
+  let labels p =
+    let ls = !pkt_labels in
+    if p < Array.length ls then ls.(p)
+    else begin
+      let make p =
+        let v = Pvec.Index.packet pkts p in
+        Action.
+          {
+            send_tr = Some (Send_pkt (T_to_r, v));
+            send_rt = Some (Send_pkt (R_to_t, v));
+            recv_tr = Some (Receive_pkt (T_to_r, v));
+            recv_rt = Some (Receive_pkt (R_to_t, v));
+            drop_tr = Some (Drop_pkt (T_to_r, v));
+            drop_rt = Some (Drop_pkt (R_to_t, v));
+          }
+      in
+      pkt_labels :=
+        Array.init (Pvec.Index.size pkts) (fun i -> if i < Array.length ls then ls.(i) else make i);
+      !pkt_labels.(p)
+    end
+
+  let msg_label memo act n =
+    let m = !memo in
+    match if n < Array.length m then m.(n) else None with
+    | Some _ as l -> l
+    | None -> store memo n None (Some (act n))
+
+  let send_msg_labels = ref [||]
+  let receive_msg_labels = ref [||]
+
+  (* Interned id of the packet a station's poll emits, filled on the
+     first emission that fits the channel — the moment the packet was
+     always first interned, so packet ids keep their discovery order.
+     [-1]: not yet known. *)
+  let spoll_pkt = ref [||]
+  let rpoll_pkt = ref [||]
+
+  let emitted memo id pkt =
+    let m = !memo in
+    if id < Array.length m && m.(id) >= 0 then m.(id)
+    else store memo id (-1) (Pvec.Index.id pkts pkt)
 
   let initial =
     {
@@ -187,15 +343,15 @@ module Make (P : Spec.S) = struct
       sid = intern_sender P.sender_init;
       receiver = P.receiver_init;
       rid = intern_receiver P.receiver_init;
-      tr = Pvec.empty;
-      rt = Pvec.empty;
+      tr = chan_empty;
+      rt = chan_empty;
       submitted = 0;
       delivered = 0;
     }
 
-  let assoc_of v =
+  let assoc_of ch =
     List.sort Stdlib.compare
-      (Pvec.fold (fun id c acc -> (Pvec.Index.packet pkts id, c) :: acc) v [])
+      (Pvec.fold (fun id c acc -> (Pvec.Index.packet pkts id, c) :: acc) (chan ch) [])
 
   let packets_tr c = assoc_of c.tr
   let packets_rt c = assoc_of c.rt
@@ -222,62 +378,39 @@ module Make (P : Spec.S) = struct
             let c = Stdlib.compare (assoc_of a.tr) (assoc_of b.tr) in
             if c <> 0 then c else Stdlib.compare (assoc_of a.rt) (assoc_of b.rt)
 
-  (* O(1) visited-set identity: interned state ids, packed counters, and
-     canonical count vectors.  The interners already fell back to the
-     comparators on hash collision, so id equality *is* comparator
-     equality. *)
+  (* O(1) visited-set identity: six int compares.  The interners fall
+     back to the comparators on hash collision, so state-id equality
+     *is* comparator equality, and channel ids are canonical. *)
   module Chash = struct
     type t = config
 
     let equal a b =
-      a.submitted = b.submitted && a.delivered = b.delivered && a.sid = b.sid
-      && a.rid = b.rid && Pvec.equal a.tr b.tr && Pvec.equal a.rt b.rt
+      a.tr = b.tr && a.rt = b.rt && a.sid = b.sid && a.rid = b.rid
+      && a.submitted = b.submitted && a.delivered = b.delivered
 
+    (* Multiply-xor mixing, then a fold of the high bits into the low
+       ones: [Hashtbl] buckets on the low bits, and every input here is
+       a small int. *)
     let hash c =
       let h = (c.submitted * 31) + c.delivered in
       let h = (h * 1000003) lxor c.sid in
       let h = (h * 1000003) lxor c.rid in
-      let h = (h * 1000003) lxor Pvec.hash c.tr in
-      let h = (h * 1000003) lxor Pvec.hash c.rt in
-      h land max_int
+      let h = (h * 1000003) lxor c.tr in
+      let h = (h * 1000003) lxor c.rt in
+      let h = h * 0x2545F4914F6CDD1D in
+      (h lxor (h lsr 29)) land max_int
   end
 
   module Ctbl = Hashtbl.Make (Chash)
-
-  (* Channel moves on packet [id]: its delivery out of [c]'s channel, and
-     its drop when [drop] allows one.  Defined here, not inline in
-     [iter_successors], so the per-expansion closures capture four words
-     rather than five: that one word per closure moved the stab sweep's
-     peak RSS (stab-arq cap 2 plus stop-and-wait, 2-core x86 host) from
-     177 to 209 MB through the GC's pacing. *)
-  let deliver_tr drop c push id =
-    match Pvec.remove_one c.tr id with
-    | Some tr' ->
-        let pkt = Pvec.Index.packet pkts id in
-        let r', rid' = on_data c pkt in
-        push
-          (Some (Action.Receive_pkt (Action.T_to_r, pkt)))
-          { c with receiver = r'; rid = rid'; tr = tr' };
-        if drop then push (Some (Action.Drop_pkt (Action.T_to_r, pkt))) { c with tr = tr' }
-    | None -> ()
-
-  let deliver_rt drop c push id =
-    match Pvec.remove_one c.rt id with
-    | Some rt' ->
-        let pkt = Pvec.Index.packet pkts id in
-        let s', sid' = on_ack c pkt in
-        push
-          (Some (Action.Receive_pkt (Action.R_to_t, pkt)))
-          { c with sender = s'; sid = sid'; rt = rt' };
-        if drop then push (Some (Action.Drop_pkt (Action.R_to_t, pkt))) { c with rt = rt' }
-    | None -> ()
 
   (* Successors with the action that labels the move ([None] = silent).
      [deliver_valid_only] gates message delivery on a message actually
      pending — the boundness semantics, which never explores phantom
      branches.  Channel moves are enumerated in increasing packet-value
-     order (see {!Pvec.Index.iter_by_value}), so BFS visits configurations
-     in exactly the order the tree-based engine did.
+     order (see {!Pvec.Index.nth_by_value}), so BFS visits configurations
+     in exactly the order the tree-based engine did.  Beyond the
+     successor records, the loop allocates nothing: steps, channel moves
+     and labels are memo reads.
 
      Partial-order reduction ([bounds.por]): over a multiset channel a
      drop commutes with every other move — Drop(d,p); m and m; Drop(d,p)
@@ -291,52 +424,68 @@ module Make (P : Spec.S) = struct
   let iter_successors ?(deliver_valid_only = false) bounds c push =
     (* User submission. *)
     if c.submitted < bounds.submit_budget then begin
-      let s', sid' = on_submit c in
-      push (Some (Action.Send_msg c.submitted))
+      let s', sid' = step_submit c.sender c.sid in
+      push
+        (msg_label send_msg_labels (fun n -> Action.Send_msg n) c.submitted)
         { c with sender = s'; sid = sid'; submitted = c.submitted + 1 }
     end;
     (* Sender poll: emission or silent tick. *)
-    (let emit, s', sid' = sender_poll c in
+    (let emit, s', sid' = step_sender_poll c.sender c.sid in
      match emit with
      | Some pkt ->
-         if Pvec.cardinal c.tr < bounds.capacity_tr then
-           push
-             (Some (Action.Send_pkt (Action.T_to_r, pkt)))
-             { c with sender = s'; sid = sid'; tr = Pvec.add c.tr (Pvec.Index.id pkts pkt) }
+         if chan_card c.tr < bounds.capacity_tr then begin
+           let p = emitted spoll_pkt c.sid pkt in
+           push (labels p).send_tr { c with sender = s'; sid = sid'; tr = chan_add c.tr p }
+         end
      | None ->
          (* Interned-id equality is comparator equality, so this is the old
             [P.compare_sender s' c.sender <> 0] silent-tick test. *)
          if sid' <> c.sid then push None { c with sender = s'; sid = sid' });
     (* Receiver poll: delivery, reverse send, or silent tick. *)
-    (let emit, r', rid' = receiver_poll c in
+    (let emit, r', rid' = step_receiver_poll c.receiver c.rid in
      match emit with
      | Some Spec.Rdeliver ->
          if (not deliver_valid_only) || c.delivered < c.submitted then
            push
-             (Some (Action.Receive_msg c.delivered))
+             (msg_label receive_msg_labels (fun n -> Action.Receive_msg n) c.delivered)
              { c with receiver = r'; rid = rid'; delivered = c.delivered + 1 }
      | Some (Spec.Rsend pkt) ->
-         if Pvec.cardinal c.rt < bounds.capacity_rt then
-           push
-             (Some (Action.Send_pkt (Action.R_to_t, pkt)))
-             { c with receiver = r'; rid = rid'; rt = Pvec.add c.rt (Pvec.Index.id pkts pkt) }
+         if chan_card c.rt < bounds.capacity_rt then begin
+           let p = emitted rpoll_pkt c.rid pkt in
+           push (labels p).send_rt { c with receiver = r'; rid = rid'; rt = chan_add c.rt p }
+         end
      | None -> if rid' <> c.rid then push None { c with receiver = r'; rid = rid' });
     (* Adversarial channel: deliver any in-transit packet, either direction.
        Drops are unconditional normally, lazy (at-capacity only) under POR. *)
-    let drop_tr =
-      bounds.allow_drop && ((not bounds.por) || Pvec.cardinal c.tr >= bounds.capacity_tr)
-    in
-    let drop_rt =
-      bounds.allow_drop && ((not bounds.por) || Pvec.cardinal c.rt >= bounds.capacity_rt)
-    in
-    Pvec.Index.iter_by_value pkts (fun id -> deliver_tr drop_tr c push id);
-    Pvec.Index.iter_by_value pkts (fun id -> deliver_rt drop_rt c push id)
-
-  let successors ?deliver_valid_only bounds c =
-    let moves = ref [] in
-    iter_successors ?deliver_valid_only bounds c (fun act c' ->
-        moves := (act, c') :: !moves);
-    List.rev !moves
+    let n = Pvec.Index.size pkts in
+    if chan_card c.tr > 0 then begin
+      let drop =
+        bounds.allow_drop && ((not bounds.por) || chan_card c.tr >= bounds.capacity_tr)
+      in
+      for i = 0 to n - 1 do
+        let p = Pvec.Index.nth_by_value pkts i in
+        let tr' = chan_remove c.tr p in
+        if tr' >= 0 then begin
+          let r', rid' = step_data_id c.receiver c.rid p in
+          push (labels p).recv_tr { c with receiver = r'; rid = rid'; tr = tr' };
+          if drop then push (labels p).drop_tr { c with tr = tr' }
+        end
+      done
+    end;
+    if chan_card c.rt > 0 then begin
+      let drop =
+        bounds.allow_drop && ((not bounds.por) || chan_card c.rt >= bounds.capacity_rt)
+      in
+      for i = 0 to n - 1 do
+        let p = Pvec.Index.nth_by_value pkts i in
+        let rt' = chan_remove c.rt p in
+        if rt' >= 0 then begin
+          let s', sid' = step_ack_id c.sender c.sid p in
+          push (labels p).recv_rt { c with sender = s'; sid = sid'; rt = rt' };
+          if drop then push (labels p).drop_rt { c with rt = rt' }
+        end
+      done
+    end
 
   (* Visited-table sizing: scale with the node budget (the table's true
      eventual population) instead of a fixed 4096, capped so absurd
@@ -348,15 +497,66 @@ module Make (P : Spec.S) = struct
     | Some n -> max 16 n
     | None -> max 1024 (min bounds.max_nodes 1_048_576)
 
-  (* Station-state tallies hold distinct *states*, not configurations:
-     scale mildly with the visited size. *)
-  let state_tbl_size sz = max 256 (min 4096 (sz / 64))
+  (* Append-only int sequence in 64-int chunks: small blocks come from
+     the GC's size-classed pools, which the next exploration reuses,
+     where one big array per sweep is a fresh malloc each time.  Holding
+     the stab-sweep benchmark's edges (stab-arq cap 2 plus stop-and-wait,
+     2-core x86 host), chunks peaked at 135 MB resident, one doubling
+     array at 180 MB and cons lists at 171 MB. *)
+  module Ivec = struct
+    let bits = 6
+    let mask = (1 lsl bits) - 1
+
+    type t = { mutable chunks : int array array; mutable len : int }
+
+    let create () = { chunks = [||]; len = 0 }
+
+    let push v x =
+      let c = v.len lsr bits in
+      if v.len land mask = 0 then begin
+        if c = Array.length v.chunks then begin
+          let cs = Array.make (max 8 (2 * c)) [||] in
+          Array.blit v.chunks 0 cs 0 c;
+          v.chunks <- cs
+        end;
+        v.chunks.(c) <- Array.make (mask + 1) 0
+      end;
+      v.chunks.(c).(v.len land mask) <- x;
+      v.len <- v.len + 1
+
+    let get v i = v.chunks.(i lsr bits).(i land mask)
+    let set v i x = v.chunks.(i lsr bits).(i land mask) <- x
+
+    let make n x =
+      let v = create () in
+      for _ = 1 to n do
+        push v x
+      done;
+      v
+  end
+
+  (* Distinct station states seen, as a byte per interned id. *)
+  type tally = { mutable seen : Bytes.t; mutable distinct : int }
+
+  let tally t id =
+    if id >= Bytes.length t.seen then begin
+      let b = Bytes.make (max (id + 1) (2 * Bytes.length t.seen)) '\000' in
+      Bytes.blit t.seen 0 b 0 (Bytes.length t.seen);
+      t.seen <- b
+    end;
+    if Bytes.unsafe_get t.seen id = '\000' then begin
+      Bytes.unsafe_set t.seen id '\001';
+      t.distinct <- t.distinct + 1
+    end
 
   (* The explored graph.  Ids are dense and in BFS order, so the queue is
      the id range [expanded, count) and "expanded" is [id < expanded].
      [acts] counts the labelled moves on the BFS-tree path to each id;
-     parent links and predecessor lists are allocated only when asked
-     for (empty arrays otherwise). *)
+     parent links and edges are allocated only when asked for (empty
+     arrays otherwise).  Edges are kept as flat int arrays, not lists: a
+     configuration is expanded once and in id order, so the targets of
+     [src]'s moves are [edges.(first_edge.(src)) ..], up to the next
+     source's first edge. *)
   type graph = {
     mutable nodes : config array;
     mutable count : int;
@@ -367,9 +567,10 @@ module Make (P : Spec.S) = struct
     mutable parent : int array;
     mutable label : Action.t option array;
     keep_preds : bool;
-    mutable preds : int list array;
-    senders : (int, unit) Hashtbl.t;
-    receivers : (int, unit) Hashtbl.t;
+    mutable first_edge : int array;
+    edges : Ivec.t;
+    senders : tally;
+    receivers : tally;
     mutable max_depth : int;
     mutable truncated : bool;
   }
@@ -392,9 +593,10 @@ module Make (P : Spec.S) = struct
       parent = (if parents then Array.make len (-1) else [||]);
       label = (if parents then Array.make len None else [||]);
       keep_preds = preds;
-      preds = (if preds then Array.make len [] else [||]);
-      senders = Hashtbl.create (state_tbl_size sz);
-      receivers = Hashtbl.create (state_tbl_size sz);
+      first_edge = (if preds then Array.make len 0 else [||]);
+      edges = Ivec.create ();
+      senders = { seen = Bytes.make 64 '\000'; distinct = 0 };
+      receivers = { seen = Bytes.make 64 '\000'; distinct = 0 };
       max_depth = 0;
       truncated = false;
     }
@@ -413,7 +615,7 @@ module Make (P : Spec.S) = struct
     g.acts <- resize g.acts 0;
     g.parent <- resize g.parent (-1);
     g.label <- resize g.label None;
-    g.preds <- resize g.preds []
+    g.first_edge <- resize g.first_edge 0
 
   let insert g ~cap src act depth c =
     if g.count >= cap then g.truncated <- true
@@ -428,22 +630,22 @@ module Make (P : Spec.S) = struct
         g.parent.(id) <- src;
         g.label.(id) <- act
       end;
-      if g.keep_preds && src >= 0 then g.preds.(id) <- [ src ];
-      Hashtbl.replace g.senders c.sid ();
-      Hashtbl.replace g.receivers c.rid ();
+      if g.keep_preds && src >= 0 then Ivec.push g.edges id;
+      tally g.senders c.sid;
+      tally g.receivers c.rid;
       if depth > g.max_depth then g.max_depth <- depth
     end
 
-  (* [c] reached from [src] ([-1] for a seed): a predecessor is recorded
-     whether or not [c] is new.  Without predecessor lists a hit needs no
-     id, so the lookup is the exception-free [mem]. *)
+  (* [c] reached from [src] ([-1] for a seed): an edge is recorded
+     whether or not [c] is new.  Without edges a hit needs no id, so the
+     lookup is the exception-free [mem]. *)
   let visit g ~cap src act depth c =
     if not g.keep_preds then begin
       if not (Ctbl.mem g.index c) then insert g ~cap src act depth c
     end
     else
       match Ctbl.find g.index c with
-      | id -> if src >= 0 then g.preds.(id) <- src :: g.preds.(id)
+      | id -> if src >= 0 then Ivec.push g.edges id
       | exception Not_found -> insert g ~cap src act depth c
 
   exception Stop
@@ -478,6 +680,7 @@ module Make (P : Spec.S) = struct
            level_end := g.count
          end;
          g.expanded <- src + 1;
+         if g.keep_preds then g.first_edge.(src) <- g.edges.Ivec.len;
          if (src + 1) land 2047 = 0 then checkpoint ();
          iter_successors ?deliver_valid_only bounds g.nodes.(src) push
        done
@@ -492,8 +695,8 @@ module Make (P : Spec.S) = struct
   let graph_stats g =
     {
       nodes = g.count;
-      sender_states = Hashtbl.length g.senders;
-      receiver_states = Hashtbl.length g.receivers;
+      sender_states = g.senders.distinct;
+      receiver_states = g.receivers.distinct;
       max_depth = g.max_depth;
     }
 
@@ -504,27 +707,50 @@ module Make (P : Spec.S) = struct
     in
     go id []
 
-  (* Multi-source backward BFS over the predecessor lists: the distance
-     from each id to the nearest [source] id ([max_int] when none is
-     reachable within the graph). *)
+  (* Multi-source backward BFS: the distance from each id to the nearest
+     [source] id ([max_int] when none is reachable within the graph).
+     The forward edges are first turned around into predecessor ranges
+     ([preds.(start.(j)) ..] up to [start.(j + 1)]) by a counting sort. *)
   let distances_to g source =
-    let dist = Array.make g.count max_int in
-    let q = Queue.create () in
-    for id = 0 to g.count - 1 do
+    let n = g.count and m = g.edges.Ivec.len in
+    let start = Array.make (n + 1) 0 in
+    for k = 0 to m - 1 do
+      let j = Ivec.get g.edges k in
+      start.(j + 1) <- start.(j + 1) + 1
+    done;
+    for j = 1 to n do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    let fill = Array.sub start 0 n in
+    let preds = Ivec.make m 0 in
+    for src = 0 to g.expanded - 1 do
+      let last = if src + 1 < g.expanded then g.first_edge.(src + 1) else m in
+      for k = g.first_edge.(src) to last - 1 do
+        let j = Ivec.get g.edges k in
+        Ivec.set preds fill.(j) src;
+        fill.(j) <- fill.(j) + 1
+      done
+    done;
+    let dist = Array.make n max_int in
+    let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
+    for id = 0 to n - 1 do
       if source id then begin
         dist.(id) <- 0;
-        Queue.add id q
+        queue.(!tail) <- id;
+        incr tail
       end
     done;
-    while not (Queue.is_empty q) do
-      let j = Queue.pop q in
-      List.iter
-        (fun i ->
-          if dist.(i) = max_int then begin
-            dist.(i) <- dist.(j) + 1;
-            Queue.add i q
-          end)
-        g.preds.(j)
+    while !head < !tail do
+      let j = queue.(!head) in
+      incr head;
+      for k = start.(j) to start.(j + 1) - 1 do
+        let i = Ivec.get preds k in
+        if dist.(i) = max_int then begin
+          dist.(i) <- dist.(j) + 1;
+          queue.(!tail) <- i;
+          incr tail
+        end
+      done
     done;
     dist
 
@@ -552,11 +778,17 @@ module Make (P : Spec.S) = struct
      stops at the first dequeue past the node budget, so
      [phantom_in_budget] records whether the move's source was dequeued
      with fewer than [max_nodes] configurations held: its first move is
-     seen before any of its children is inserted. *)
-  let from_configs ?deliver_valid_only ?size_hint ?checkpoint ~seeds bounds =
+     seen before any of its children is inserted.
+
+     [on_edge src act c] sees every move in generation order.  The cap
+     rule drains the queue, so it sees all moves of every held
+     configuration. *)
+  let from_configs ?deliver_valid_only ?size_hint ?checkpoint ?(on_edge = fun _ _ _ -> ())
+      ~seeds bounds =
     let first_phantom = ref None and phantom_in_budget = ref false in
     let scanned = ref (-1) and in_budget = ref true in
     let on_edge g src act c =
+      on_edge src act c;
       if !first_phantom = None then begin
         if src <> !scanned then begin
           scanned := src;
@@ -582,8 +814,8 @@ module Make (P : Spec.S) = struct
       phantom_in_budget = !phantom_in_budget;
     }
 
-  let reachable_set ?deliver_valid_only ?size_hint ?checkpoint bounds =
-    from_configs ?deliver_valid_only ?size_hint ?checkpoint ~seeds:[ initial ] bounds
+  let reachable_set ?deliver_valid_only ?size_hint ?checkpoint ?on_edge bounds =
+    from_configs ?deliver_valid_only ?size_hint ?checkpoint ?on_edge ~seeds:[ initial ] bounds
 
   let search ?(stop_at_phantom = true) ?size_hint ?checkpoint bounds =
     let violation = ref None in

@@ -16,15 +16,16 @@
 
     Engine representation: sender/receiver states are interned into dense
     ids (hash-bucketed when the spec provides {!Nfc_protocol.Spec.S.hash_sender}
-    hooks, comparator-keyed otherwise) and channel multisets are
-    {!Pvec.t} count vectors over the interned packet alphabet.  The
-    visited set is a [Hashtbl] over this packed encoding, making the
-    membership test O(1) amortised instead of a balanced-tree walk with
-    up to four multiset comparisons per node.  Channel moves are still
-    enumerated in increasing packet-value order, so BFS order — and hence
-    every counterexample, statistic, and report — is identical to the
-    tree-based engine's (retained as {!Reference} for differential
-    testing).
+    hooks, comparator-keyed otherwise), and so are channel contents: a
+    channel multiset is a {!Pvec.t} count vector over the interned packet
+    alphabet, interned once into a dense channel id.  A configuration is
+    therefore six ints beside its two station states, the visited set
+    hashes and compares only those ints, and every transition — station
+    steps, channel adds and removals — is a memo read keyed by ids.
+    Channel moves are still enumerated in increasing packet-value order,
+    so BFS order — and hence every counterexample, statistic, and report —
+    is identical to the tree-based engine's (retained as {!Reference} for
+    differential testing).
 
     [find_phantom] searches for the invalid executions at the heart of
     Theorems 3.1 and 4.1: a reachable configuration in which the receiver
@@ -109,8 +110,8 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     sid : int;  (** interned id of [sender] (comparator equality) *)
     receiver : P.receiver;
     rid : int;
-    tr : Pvec.t;  (** packets in transit t->r, as interned counts *)
-    rt : Pvec.t;
+    tr : int;  (** packets in transit t->r, as an interned channel id ({!chan}) *)
+    rt : int;  (** packets in transit r->t, likewise *)
     submitted : int;
     delivered : int;
   }
@@ -122,17 +123,36 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       across the bounded and ω-accelerated explorations. *)
   val pkts : Pvec.Index.t
 
+  (** The channel interner.  Channel ids are dense, in first-sight order,
+      and canonical: equal multisets get equal ids. *)
+  val chan_of_pvec : Pvec.t -> int
+
+  (** [chan ch] is the multiset behind channel id [ch]. *)
+  val chan : int -> Pvec.t
+
+  (** [chan_card ch] is the number of packets in [ch]. *)
+  val chan_card : int -> int
+
+  (** [chan_add ch p] is the id of [ch] plus one packet of packet id [p];
+      [chan_remove ch p] the id of [ch] minus one, or [-1] when [ch]
+      holds no [p].  Both are memoised per (channel id, packet id). *)
+  val chan_add : int -> int -> int
+
+  val chan_remove : int -> int -> int
+
   (** The state interners (dense ids in first-sight order; id equality is
       comparator equality). *)
   val intern_sender : P.sender -> int
 
   val intern_receiver : P.receiver -> int
 
-  (** Memoised single-step transitions keyed on interned ids: each
-      distinct (state, input) pair runs protocol code once, engine-wide —
-      including calls made by sibling analyses sharing this instance.
-      [step_submit s sid] requires [sid = intern_sender s] (and so on);
-      the returned int is the interned id of the post-state. *)
+  (** Memoised single-step transitions in arrays indexed by interned
+      ids: each distinct (state, input) pair runs protocol code once,
+      engine-wide — including calls made by sibling analyses sharing this
+      instance.  [step_submit s sid] requires [sid = intern_sender s] (and
+      so on); the returned int is the interned id of the post-state.
+      [step_ack_id]/[step_data_id] take the input's packet id;
+      [step_ack]/[step_data] take its packet value. *)
   val step_submit : P.sender -> int -> P.sender * int
 
   val step_sender_poll : P.sender -> int -> int option * P.sender * int
@@ -140,6 +160,8 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val step_receiver_poll :
     P.receiver -> int -> Nfc_protocol.Spec.remit option * P.receiver * int
 
+  val step_ack_id : P.sender -> int -> int -> P.sender * int
+  val step_data_id : P.receiver -> int -> int -> P.receiver * int
   val step_ack : P.sender -> int -> int -> P.sender * int
   val step_data : P.receiver -> int -> int -> P.receiver * int
 
@@ -157,18 +179,11 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val compare_config : config -> config -> int
 
   (** Labelled successor relation under the given bounds ([None] labels a
-      silent timer tick).  [deliver_valid_only] (default false) gates
-      message delivery on [delivered < submitted] — the boundness
-      semantics, which never explores phantom branches. *)
-  val successors :
-    ?deliver_valid_only:bool ->
-    bounds ->
-    config ->
-    (Nfc_automata.Action.t option * config) list
-
-  (** The same enumeration in continuation-passing style — the spine the
+      silent timer tick), in continuation-passing style — the spine the
       breadth-first loops run on; no per-move allocation beyond the
-      successor configuration itself. *)
+      successor configuration itself.  [deliver_valid_only] (default
+      false) gates message delivery on [delivered < submitted] — the
+      boundness semantics, which never explores phantom branches. *)
   val iter_successors :
     ?deliver_valid_only:bool ->
     bounds ->
@@ -177,8 +192,8 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     unit
 
   (** Hash table keyed on configurations under the engine's identity
-      (interned state ids, counters, packed channels): the visited-table
-      type of every exploration. *)
+      (interned state and channel ids, counters): the visited-table type
+      of every exploration. *)
   module Ctbl : Hashtbl.S with type key = config
 
   (** An explored graph: configurations under dense ids in BFS order
@@ -196,7 +211,8 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       cuts something off.  [on_edge g src act c] sees every move in
       generation order, before [c] is inserted, and returning [true]
       stops the search.  [parents] keeps BFS-tree links (for shortest
-      witnesses), [preds] keeps predecessor lists (for {!distances_to});
+      witnesses), [preds] keeps every move's target as a flat edge list
+      (for {!distances_to});
       both default to [false] and cost nothing when off.  [size_hint] and
       [checkpoint] as for {!reachable_set}. *)
   val explore :
@@ -220,7 +236,7 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val truncated : graph -> bool
 
   (** [distances_to g source]: multi-source backward BFS over the
-      predecessor lists (the graph must have been explored with
+      reversed edges (the graph must have been explored with
       [~preds:true]) — each id's distance to the nearest id satisfying
       [source], [max_int] when none is reachable inside the graph. *)
   val distances_to : graph -> (int -> bool) -> int array
@@ -251,11 +267,14 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       [size_hint] pre-sizes the visited table (default: scaled to
       [max_nodes]).  [checkpoint] is called every ~2k dequeues — the
       cooperative cancellation hook; it may raise to abort the
-      exploration. *)
+      exploration.  [on_edge src act c] sees every move in generation
+      order, from source id [src] (an index into [configs]); since every
+      held configuration is expanded, it sees all their moves. *)
   val reachable_set :
     ?deliver_valid_only:bool ->
     ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
+    ?on_edge:(int -> Nfc_automata.Action.t option -> config -> unit) ->
     bounds ->
     reach
 
@@ -268,6 +287,7 @@ module Make (P : Nfc_protocol.Spec.S) : sig
     ?deliver_valid_only:bool ->
     ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
+    ?on_edge:(int -> Nfc_automata.Action.t option -> config -> unit) ->
     seeds:config list ->
     bounds ->
     reach

@@ -62,6 +62,9 @@ module Index = struct
      enumerate channel moves in exactly the order the Multiset-backed
      engine did (its [support] was value-sorted), preserving BFS order. *)
   let iter_by_value t f = Array.iter f t.by_value
+
+  (* The same order by position, for loops that take no closure. *)
+  let nth_by_value t i = t.by_value.(i)
 end
 
 type t = { counts : int array; card : int }

@@ -28,6 +28,10 @@ module Index : sig
       enumeration order of [Multiset.support], so the hashed engine visits
       configurations in exactly the tree-based engine's BFS order. *)
   val iter_by_value : t -> (int -> unit) -> unit
+
+  (** [nth_by_value t i] is the [i]-th id of that order,
+      [0 <= i < size t]. *)
+  val nth_by_value : t -> int -> int
 end
 
 type t

@@ -139,26 +139,31 @@ let analyze (spec : Spec.t) cfg =
   let receivers, n_receivers = collect_states (fun c -> c.E.rid) (fun c -> c.E.receiver) in
   let states_clamped = n_senders > cfg.state_cap || n_receivers > cfg.state_cap in
   let alphabet =
+    (* Decode each distinct channel id once, not each configuration. *)
     let module Iset = Set.Make (Int) in
-    let add_channel pkts acc = List.fold_left (fun acc (v, _) -> Iset.add v acc) acc pkts in
-    let vs =
-      Array.fold_left
-        (fun acc c -> add_channel (E.packets_tr c) (add_channel (E.packets_rt c) acc))
-        Iset.empty legit
+    let seen = Hashtbl.create 64 in
+    let add_channel ch acc =
+      if Hashtbl.mem seen ch then acc
+      else begin
+        Hashtbl.add seen ch ();
+        Pvec.fold (fun id _ acc -> Iset.add (Pvec.Index.packet E.pkts id) acc) (E.chan ch) acc
+      end
     in
-    Iset.elements vs
+    Iset.elements
+      (Array.fold_left (fun acc c -> add_channel c.E.tr (add_channel c.E.rt acc)) Iset.empty legit)
   in
   let alphabet_ids = List.map (fun v -> Pvec.Index.id E.pkts v) alphabet in
   (* 3. Corrupted starts: observed station products x channel multisets
      of cardinality <= capacity over the observed alphabet.  Enumeration
      order (senders, receivers, forward then reverse multisets, each
      depth-first by value order) is deterministic; the clamp keeps a
-     deterministic prefix. *)
+     deterministic prefix.  Each multiset enters the seeds as its channel
+     id. *)
   let multisets cap =
     let ids = Array.of_list alphabet_ids in
     let out = ref [] in
     let rec go i v size =
-      out := v :: !out;
+      out := E.chan_of_pvec v :: !out;
       if size < cap then
         for j = i to Array.length ids - 1 do
           go j (Pvec.add v ids.(j)) (size + 1)

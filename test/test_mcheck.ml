@@ -204,6 +204,42 @@ let test_mcheck_counterexample_replays_in_props () =
       checkb "online checker flags it too" true (violations <> [])
   | _ -> Alcotest.fail "expected violation"
 
+let test_channel_interning_agrees_with_pvec () =
+  (* Random add/remove walks through the engine's channel interner track
+     the count vectors they stand for: every id decodes to the vector the
+     same moves build directly, equal vectors get equal ids, cardinals
+     agree, and removing an absent packet answers -1.  Walks revisit
+     channels, so the memoised answers are checked as well as the first
+     ones. *)
+  let module P = (val Nfc_protocol.Stop_and_wait.make ()) in
+  let module E = Explore.Make (P) in
+  let rng = Random.State.make [| 17 |] in
+  let ids = Array.init 5 (fun v -> Pvec.Index.id E.pkts (10 - v)) in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  for _walk = 1 to 300 do
+    let ch = ref (E.chan_of_pvec Pvec.empty) and v = ref Pvec.empty in
+    for _step = 1 to 24 do
+      let p = ids.(Random.State.int rng (Array.length ids)) in
+      (if Random.State.int rng 3 > 0 then begin
+         ch := E.chan_add !ch p;
+         v := Pvec.add !v p
+       end
+       else
+         let ch' = E.chan_remove !ch p in
+         match Pvec.remove_one !v p with
+         | None -> expect (ch' = -1)
+         | Some v' ->
+             expect (ch' >= 0);
+             ch := ch';
+             v := v');
+      expect (Pvec.equal (E.chan !ch) !v);
+      expect (E.chan_of_pvec !v = !ch);
+      expect (E.chan_card !ch = Pvec.cardinal !v)
+    done
+  done;
+  checkb "chan_add/chan_remove agree with Pvec.add/Pvec.remove_one" true !ok
+
 let suite =
   [
     ("s&w violation found", `Quick, test_stop_and_wait_violation_found);
@@ -219,4 +255,5 @@ let suite =
     ("boundness within k_t*k_r", `Quick, test_boundness_within_theorem_bound);
     ("boundness semi-valid configs", `Quick, test_boundness_semi_valid_exist);
     ("counterexample cross-validated", `Quick, test_mcheck_counterexample_replays_in_props);
+    ("channel ids agree with Pvec", `Quick, test_channel_interning_agrees_with_pvec);
   ]
