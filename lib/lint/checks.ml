@@ -126,22 +126,8 @@ module Make (P : Spec.S) = struct
     end in
     let module B = Boundness.Make (G) in
     let module E = B.E in
-    (* Q1 needs to know which configurations have a move other than a
-       user submission; the sweep sees every move of every held
-       configuration, so it records that bit per id as it goes. *)
-    let progress = ref (Bytes.make 64 '\000') in
-    let on_edge src act _ =
-      match act with
-      | Some (Nfc_automata.Action.Send_msg _) -> ()
-      | _ ->
-          let b = !progress in
-          if src >= Bytes.length b then begin
-            progress := Bytes.make (max (src + 1) (2 * Bytes.length b)) '\000';
-            Bytes.blit b 0 !progress 0 (Bytes.length b)
-          end;
-          Bytes.set !progress src '\001'
-    in
-    let reach = E.reachable_set ~checkpoint:cfg.checkpoint ~on_edge cfg.bounds in
+    let reach = E.reachable_set ~checkpoint:cfg.checkpoint cfg.bounds in
+    let g = reach.E.graph in
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
@@ -156,33 +142,32 @@ module Make (P : Spec.S) = struct
     let tr_seen = Hashtbl.create 64 and rt_seen = Hashtbl.create 64 in
     let sender_by_id : (int, P.sender) Hashtbl.t = Hashtbl.create 64 in
     let receiver_by_id : (int, P.receiver) Hashtbl.t = Hashtbl.create 64 in
-    List.iter
-      (fun (c : E.config) ->
-        (* Interned-id equality is comparator equality, so deduping on the
-           id visits each distinct station state — and poll-probes it —
-           exactly once instead of once per configuration; likewise each
-           distinct channel is decoded once. *)
-        if not (Hashtbl.mem sender_by_id c.E.sid) then begin
-          Hashtbl.add sender_by_id c.E.sid c.E.sender;
-          (* Poll probes catch emissions the capacity bound suppressed. *)
-          match G.sender_poll c.E.sender with
-          | Some p, _ -> atr := Iset.add p !atr
-          | None, _ -> ()
-          | exception e ->
-              record "sender_poll" None (Format.asprintf "%a" P.pp_sender c.E.sender) e
-        end;
-        if not (Hashtbl.mem receiver_by_id c.E.rid) then begin
-          Hashtbl.add receiver_by_id c.E.rid c.E.receiver;
-          match G.receiver_poll c.E.receiver with
-          | Some (Spec.Rsend p), _ -> art := Iset.add p !art
-          | (Some Spec.Rdeliver | None), _ -> ()
-          | exception e ->
-              record "receiver_poll" None
-                (Format.asprintf "%a" P.pp_receiver c.E.receiver) e
-        end;
-        census tr_seen atr c.E.tr;
-        census rt_seen art c.E.rt)
-      reach.E.configs;
+    for i = 0 to E.size g - 1 do
+      (* Interned-id equality is comparator equality, so deduping on the
+         id visits each distinct station state — and poll-probes it —
+         exactly once instead of once per configuration; likewise each
+         distinct channel is decoded once. *)
+      let sid = E.sid g i and rid = E.rid g i in
+      if not (Hashtbl.mem sender_by_id sid) then begin
+        let s = E.sender_of sid in
+        Hashtbl.add sender_by_id sid s;
+        (* Poll probes catch emissions the capacity bound suppressed. *)
+        match G.sender_poll s with
+        | Some p, _ -> atr := Iset.add p !atr
+        | None, _ -> ()
+        | exception e -> record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e
+      end;
+      if not (Hashtbl.mem receiver_by_id rid) then begin
+        let r = E.receiver_of rid in
+        Hashtbl.add receiver_by_id rid r;
+        match G.receiver_poll r with
+        | Some (Spec.Rsend p), _ -> art := Iset.add p !art
+        | (Some Spec.Rdeliver | None), _ -> ()
+        | exception e -> record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e
+      end;
+      census tr_seen atr (E.tr g i);
+      census rt_seen art (E.rt g i)
+    done;
     let senders =
       ref (Sset.of_list (Hashtbl.fold (fun _ s acc -> s :: acc) sender_by_id []))
     in
@@ -303,19 +288,19 @@ module Make (P : Spec.S) = struct
     (* ----------------------- Q1: quiescence / dead configurations *)
     let dead = ref 0 in
     let dead_witness = ref None in
-    let stuck id = id >= Bytes.length !progress || Bytes.get !progress id = '\000' in
-    List.iteri
-      (fun id (c : E.config) ->
-        if c.E.submitted > c.E.delivered && stuck id then begin
-          incr dead;
-          if !dead_witness = None then
-            dead_witness :=
-              Some
-                (Format.asprintf "sender %a, receiver %a, %d message(s) pending"
-                   P.pp_sender c.E.sender P.pp_receiver c.E.receiver
-                   (c.E.submitted - c.E.delivered))
-        end)
-      reach.E.configs;
+    for id = 0 to E.size g - 1 do
+      let pending = E.submitted g id - E.delivered g id in
+      if pending > 0 && reach.E.stuck id then begin
+        incr dead;
+        if !dead_witness = None then
+          dead_witness :=
+            Some
+              (Format.asprintf "sender %a, receiver %a, %d message(s) pending" P.pp_sender
+                 (E.sender_of (E.sid g id)) P.pp_receiver
+                 (E.receiver_of (E.rid g id))
+                 pending)
+      end
+    done;
     (* Warning, not error: for bounded-header registry protocols a stuck
        configuration is the expected liveness failure mode (the
        alternating bit wedges on a stale ack — the repo's wedge tests

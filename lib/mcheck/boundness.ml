@@ -57,16 +57,19 @@ module Make (P : Spec.S) = struct
      Probe states are the configurations of a fresh engine [F] per chunk
      (counters 0, channels holding fresh packets only), so they live in
      their own id space while every probe of the chunk shares [F]'s
-     interners, channel ids and transition memos.  Sharing cannot change
-     results: each probe has its own visited table, and its channels only
-     ever hold packets the probe itself added. *)
-  let probe_chunk (pb : probe_bounds) configs =
+     interners, channel ids and transition memos, and one visited table,
+     cleared between probes.  Sharing cannot change results: each probe
+     starts from an empty table, and its channels only ever hold packets
+     the probe itself added. *)
+  let probe_chunk (pb : probe_bounds) pairs =
     let module F = Explore.Make (P) in
     let module Deque = Nfc_util.Deque in
-    let probe (c : E.config) =
-      (* Scale with the per-probe node budget (cf. {!Explore}'s visited
-         sizing) instead of a fixed 1024. *)
-      let visited = F.Ctbl.create (max 1024 (min pb.max_nodes 1_048_576)) in
+    let visited = Explore.Table.create () in
+    let probe sender receiver =
+      Explore.Table.clear visited;
+      let seen (st : F.config) =
+        Explore.Table.find visited st.sid st.rid st.tr st.rt st.submitted st.delivered >= 0
+      in
       (* Two-ended 0-1 BFS: states paired with their cost; visited marked
          on pop so the first pop has the minimal cost. *)
       let rec loop dq n_visited =
@@ -75,9 +78,10 @@ module Make (P : Spec.S) = struct
           match Deque.pop_front dq with
           | None -> None
           | Some ((cost, _), _) when cost > pb.max_cost -> None
-          | Some ((_, st), dq) when F.Ctbl.mem visited st -> loop dq n_visited
+          | Some ((_, st), dq) when seen st -> loop dq n_visited
           | Some ((cost, st), dq) -> (
-              F.Ctbl.add visited st ();
+              ignore
+                (Explore.Table.add visited st.sid st.rid st.tr st.rt st.submitted st.delivered);
               let dq = ref dq in
               let costless st = dq := Deque.push_front (cost, st) !dq in
               let fresh pkt ch = F.chan_add ch (Pvec.Index.id F.pkts pkt) in
@@ -114,10 +118,10 @@ module Make (P : Spec.S) = struct
       in
       let start =
         {
-          F.sender = c.E.sender;
-          sid = F.intern_sender c.E.sender;
-          receiver = c.E.receiver;
-          rid = F.intern_receiver c.E.receiver;
+          F.sender;
+          sid = F.intern_sender sender;
+          receiver;
+          rid = F.intern_receiver receiver;
           tr = F.chan_of_pvec Pvec.empty;
           rt = F.chan_of_pvec Pvec.empty;
           submitted = 0;
@@ -126,7 +130,7 @@ module Make (P : Spec.S) = struct
       in
       loop (Deque.push_front (0, start) Deque.empty) 0
     in
-    List.map (fun c -> (c, probe c)) configs
+    List.map (fun (pair, sender, receiver) -> (pair, probe sender receiver)) pairs
 
   let take n xs =
     let rec go n acc = function
@@ -145,15 +149,17 @@ module Make (P : Spec.S) = struct
     let k = max 1 (min k (List.length xs)) in
     List.init k (fun j -> List.filteri (fun i _ -> i mod k = j) xs)
 
-  (* Rank the distinct interned ids [get_id] takes over [configs] by [cmp]
-     on what they stand for, so configurations can then be ordered on
-     integer keys alone: [ranks.(id)] is the rank of [id].  Interned-id
-     equality is [cmp] equality, so ranks never tie. *)
-  let rank get_id get_value cmp configs =
+  (* Rank the distinct interned ids [get_id] takes over the configuration
+     ids [ids] by [cmp] on what they stand for, so configurations can then
+     be ordered on integer keys alone: [ranks.(id)] is the rank of [id].
+     Interned-id equality is [cmp] equality, so ranks never tie. *)
+  let rank get_id get_value cmp ids =
     let seen = Hashtbl.create 64 in
     List.iter
-      (fun c -> if not (Hashtbl.mem seen (get_id c)) then Hashtbl.add seen (get_id c) (get_value c))
-      configs;
+      (fun i ->
+        let id = get_id i in
+        if not (Hashtbl.mem seen id) then Hashtbl.add seen id (get_value id))
+      ids;
     let items = Hashtbl.fold (fun id v acc -> (id, v) :: acc) seen [] in
     let sorted = List.sort (fun (_, a) (_, b) -> cmp a b) items in
     let ranks = Array.make (List.fold_left (fun m (id, _) -> max m (id + 1)) 0 items) 0 in
@@ -182,8 +188,13 @@ module Make (P : Spec.S) = struct
       | _ -> E.reachable_set ~deliver_valid_only:true ?checkpoint explore
     in
     let stats = reach.E.reach_stats in
+    let g = reach.E.graph in
     let semi_valid =
-      List.filter (fun c -> c.E.submitted = c.E.delivered + 1) reach.E.configs
+      let out = ref [] in
+      for i = E.size g - 1 downto 0 do
+        if E.submitted g i = E.delivered g i + 1 then out := i :: !out
+      done;
+      !out
     in
     let n_semi = List.length semi_valid in
     let budget = match max_probes with None -> max_int | Some n -> n in
@@ -199,22 +210,22 @@ module Make (P : Spec.S) = struct
     let sampled, skipped =
       if budget >= n_semi then (semi_valid, 0)
       else begin
-        let srank = rank (fun c -> c.E.sid) (fun c -> c.E.sender) P.compare_sender semi_valid in
-        let rrank = rank (fun c -> c.E.rid) (fun c -> c.E.receiver) P.compare_receiver semi_valid in
-        let trrank = rank (fun c -> c.E.tr) E.packets_tr Stdlib.compare semi_valid in
-        let rtrank = rank (fun c -> c.E.rt) E.packets_rt Stdlib.compare semi_valid in
+        let srank = rank (E.sid g) E.sender_of P.compare_sender semi_valid in
+        let rrank = rank (E.rid g) E.receiver_of P.compare_receiver semi_valid in
+        let trrank = rank (E.tr g) E.chan_packets Stdlib.compare semi_valid in
+        let rtrank = rank (E.rt g) E.chan_packets Stdlib.compare semi_valid in
         let keyed =
           List.map
-            (fun c ->
+            (fun i ->
               ( [|
-                  c.E.submitted;
-                  c.E.delivered;
-                  srank.(c.E.sid);
-                  rrank.(c.E.rid);
-                  trrank.(c.E.tr);
-                  rtrank.(c.E.rt);
+                  E.submitted g i;
+                  E.delivered g i;
+                  srank.(E.sid g i);
+                  rrank.(E.rid g i);
+                  trrank.(E.tr g i);
+                  rtrank.(E.rt g i);
                 |],
-                c ))
+                i ))
             semi_valid
         in
         let sorted = List.sort (fun (ka, _) (kb, _) -> compare_keys ka kb) keyed in
@@ -227,19 +238,22 @@ module Make (P : Spec.S) = struct
        representative per pair, at most k_t * k_r of them, and key the
        results back onto every sampled configuration.  [probes_exhausted]
        still counts configurations. *)
-    let pair c = (c.E.sid, c.E.rid) in
+    let pair i = (E.sid g i, E.rid g i) in
     let seen = Hashtbl.create 1024 in
     let reps =
-      List.filter
-        (fun c ->
-          let fresh = not (Hashtbl.mem seen (pair c)) in
-          if fresh then Hashtbl.add seen (pair c) ();
-          fresh)
+      List.filter_map
+        (fun i ->
+          let ((sid, rid) as p) = pair i in
+          if Hashtbl.mem seen p then None
+          else begin
+            Hashtbl.add seen p ();
+            Some (p, E.sender_of sid, E.receiver_of rid)
+          end)
         sampled
     in
     let results = Hashtbl.create (Hashtbl.length seen) in
     List.iter
-      (List.iter (fun (c, cost) -> Hashtbl.replace results (pair c) cost))
+      (List.iter (fun (p, cost) -> Hashtbl.replace results p cost))
       (Pool.map ~jobs
          (probe_chunk probe_bounds)
          (chunk (if jobs <= 0 then Pool.recommended () else jobs) reps));

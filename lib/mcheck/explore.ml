@@ -72,6 +72,123 @@ let intern_hashed (type a) (hash : a -> int) (equal : a -> a -> bool) : a -> int
         Hashtbl.replace tbl h ((v, id) :: bucket);
         id
 
+(* The visited set of every exploration: configurations stored as their
+   six ints under dense ids in insertion order, indexed by an
+   open-addressed table of those ids.  Ids live in an [int array] with
+   linear probing; a probe compares the six stored ints, never a boxed
+   record.  The table starts at 64 slots and doubles when more than half
+   full, rehashing ints only, so an exploration pays for the
+   configurations it holds, not for its node budget.
+
+   The ints sit in chunks of 16 configurations (96 words): blocks that
+   small come from the GC's size-classed pools, which the next
+   exploration reuses.  One flat doubling array raised the stab-sweep
+   benchmark's peak RSS from 135 to 154 MB (2-core x86 host). *)
+module Table = struct
+  let bits = 4
+  let mask = (1 lsl bits) - 1
+  let width = 6
+  let min_slots = 64
+
+  type t = {
+    mutable chunks : int array array;
+    mutable count : int;
+    mutable slots : int array;  (* ids, [-1] when empty; a power of two long *)
+  }
+
+  let create () = { chunks = [||]; count = 0; slots = Array.make min_slots (-1) }
+  let length t = t.count
+
+  (* Multiply-xor mixing, then a fold of the high bits into the low ones:
+     the slot is the low bits, and every input here is a small int. *)
+  let hash a b c d e f =
+    let h = (e * 31) + f in
+    let h = (h * 1000003) lxor a in
+    let h = (h * 1000003) lxor b in
+    let h = (h * 1000003) lxor c in
+    let h = (h * 1000003) lxor d in
+    let h = h * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+
+  let get t id k = t.chunks.(id lsr bits).(((id land mask) * width) + k)
+
+  (* The id stored equal to [(a, .., f)], or [lnot] of the empty slot
+     where it would go. *)
+  let probe t a b c d e f =
+    let slots = t.slots in
+    let m = Array.length slots - 1 in
+    let i = ref (hash a b c d e f land m) and r = ref min_int in
+    while !r = min_int do
+      let id = slots.(!i) in
+      if id < 0 then r := lnot !i
+      else begin
+        let ch = t.chunks.(id lsr bits) and o = (id land mask) * width in
+        if
+          ch.(o) = a
+          && ch.(o + 1) = b
+          && ch.(o + 2) = c
+          && ch.(o + 3) = d
+          && ch.(o + 4) = e
+          && ch.(o + 5) = f
+        then r := id
+        else i := (!i + 1) land m
+      end
+    done;
+    !r
+
+  let find t a b c d e f =
+    let r = probe t a b c d e f in
+    if r >= 0 then r else -1
+
+  let rehash t =
+    let len = 2 * Array.length t.slots in
+    let slots = Array.make len (-1) and m = len - 1 in
+    for id = 0 to t.count - 1 do
+      let ch = t.chunks.(id lsr bits) and o = (id land mask) * width in
+      let i =
+        ref (hash ch.(o) ch.(o + 1) ch.(o + 2) ch.(o + 3) ch.(o + 4) ch.(o + 5) land m)
+      in
+      while slots.(!i) >= 0 do
+        i := (!i + 1) land m
+      done;
+      slots.(!i) <- id
+    done;
+    t.slots <- slots
+
+  (* Store [(a, .., f)] under the next id in [slot], which {!probe} found
+     empty; chunks a {!clear} left behind are written over. *)
+  let insert t slot a b c d e f =
+    let id = t.count in
+    let ci = id lsr bits in
+    if ci = Array.length t.chunks then begin
+      let cs = Array.make (max 8 (2 * ci)) [||] in
+      Array.blit t.chunks 0 cs 0 ci;
+      t.chunks <- cs
+    end;
+    if Array.length t.chunks.(ci) = 0 then t.chunks.(ci) <- Array.make ((mask + 1) * width) 0;
+    let ch = t.chunks.(ci) and o = (id land mask) * width in
+    ch.(o) <- a;
+    ch.(o + 1) <- b;
+    ch.(o + 2) <- c;
+    ch.(o + 3) <- d;
+    ch.(o + 4) <- e;
+    ch.(o + 5) <- f;
+    t.count <- id + 1;
+    t.slots.(slot) <- id;
+    if 2 * t.count > Array.length t.slots then rehash t;
+    id
+
+  let add t a b c d e f =
+    let r = probe t a b c d e f in
+    if r >= 0 then r else insert t (lnot r) a b c d e f
+
+  (* Empty the table for reuse, back at its starting size. *)
+  let clear t =
+    t.count <- 0;
+    if Array.length t.slots > min_slots then t.slots <- Array.make min_slots (-1)
+    else Array.fill t.slots 0 min_slots (-1)
+end
+
 module Make (P : Spec.S) = struct
   (* Each [Make] instantiation is one engine run with its own mutable
      intern tables; create engines inside the job that uses them and never
@@ -101,16 +218,6 @@ module Make (P : Spec.S) = struct
           m := M.add v id !m;
           id
 
-  let intern_sender =
-    match P.hash_sender with
-    | Some h -> intern_hashed h (fun a b -> P.compare_sender a b = 0)
-    | None -> intern_mapped (module Smap)
-
-  let intern_receiver =
-    match P.hash_receiver with
-    | Some h -> intern_hashed h (fun a b -> P.compare_receiver a b = 0)
-    | None -> intern_mapped (module Rmap)
-
   let pkts = Pvec.Index.create ()
 
   (* Grow the array in [a] so that index [i] is valid, doubling; new
@@ -137,6 +244,32 @@ module Make (P : Spec.S) = struct
       !rows.(i) <- r';
       r'
     end
+
+  (* Each interner also keeps its states by id, so a configuration can
+     be stored as ints and its states read back ({!node}). *)
+  let with_states (type a) (intern : a -> int) : (a -> int) * (int -> a) =
+    let states = ref [||] and n = ref 0 in
+    ( (fun v ->
+        let id = intern v in
+        if id = !n then begin
+          reserve states id v;
+          !states.(id) <- v;
+          incr n
+        end;
+        id),
+      fun id -> !states.(id) )
+
+  let intern_sender, sender_of =
+    with_states
+      (match P.hash_sender with
+      | Some h -> intern_hashed h (fun a b -> P.compare_sender a b = 0)
+      | None -> intern_mapped (module Smap))
+
+  let intern_receiver, receiver_of =
+    with_states
+      (match P.hash_receiver with
+      | Some h -> intern_hashed h (fun a b -> P.compare_receiver a b = 0)
+      | None -> intern_mapped (module Rmap))
 
   (* Channel contents interned into dense ids.  Under the capacity
      bounds there are a few hundred distinct multisets, so a
@@ -349,12 +482,12 @@ module Make (P : Spec.S) = struct
       delivered = 0;
     }
 
-  let assoc_of ch =
+  let chan_packets ch =
     List.sort Stdlib.compare
       (Pvec.fold (fun id c acc -> (Pvec.Index.packet pkts id, c) :: acc) (chan ch) [])
 
-  let packets_tr c = assoc_of c.tr
-  let packets_rt c = assoc_of c.rt
+  let packets_tr c = chan_packets c.tr
+  let packets_rt c = chan_packets c.rt
 
   (* The canonical comparator over configurations — the tree-based
      engine's visited-set order, kept for consumers that need a
@@ -375,42 +508,32 @@ module Make (P : Spec.S) = struct
           else
             (* Sorted (packet, count) association lists compare exactly as
                [Multiset.Int.compare] (bindings in key order) did. *)
-            let c = Stdlib.compare (assoc_of a.tr) (assoc_of b.tr) in
-            if c <> 0 then c else Stdlib.compare (assoc_of a.rt) (assoc_of b.rt)
+            let c = Stdlib.compare (chan_packets a.tr) (chan_packets b.tr) in
+            if c <> 0 then c else Stdlib.compare (chan_packets a.rt) (chan_packets b.rt)
 
-  (* O(1) visited-set identity: six int compares.  The interners fall
-     back to the comparators on hash collision, so state-id equality
-     *is* comparator equality, and channel ids are canonical. *)
-  module Chash = struct
-    type t = config
+  (* A configuration from its six ints: the states are read back from
+     the interners.  The kernel itself never builds one; records exist
+     only where the API hands configurations out. *)
+  let config_of sid rid tr rt submitted delivered =
+    {
+      sender = sender_of sid;
+      sid;
+      receiver = receiver_of rid;
+      rid;
+      tr;
+      rt;
+      submitted;
+      delivered;
+    }
 
-    let equal a b =
-      a.tr = b.tr && a.rt = b.rt && a.sid = b.sid && a.rid = b.rid
-      && a.submitted = b.submitted && a.delivered = b.delivered
-
-    (* Multiply-xor mixing, then a fold of the high bits into the low
-       ones: [Hashtbl] buckets on the low bits, and every input here is
-       a small int. *)
-    let hash c =
-      let h = (c.submitted * 31) + c.delivered in
-      let h = (h * 1000003) lxor c.sid in
-      let h = (h * 1000003) lxor c.rid in
-      let h = (h * 1000003) lxor c.tr in
-      let h = (h * 1000003) lxor c.rt in
-      let h = h * 0x2545F4914F6CDD1D in
-      (h lxor (h lsr 29)) land max_int
-  end
-
-  module Ctbl = Hashtbl.Make (Chash)
-
-  (* Successors with the action that labels the move ([None] = silent).
+  (* Successors with the action that labels the move ([None] = silent),
+     each passed to [push] as the six ints of its configuration.
      [deliver_valid_only] gates message delivery on a message actually
      pending — the boundness semantics, which never explores phantom
      branches.  Channel moves are enumerated in increasing packet-value
      order (see {!Pvec.Index.nth_by_value}), so BFS visits configurations
-     in exactly the order the tree-based engine did.  Beyond the
-     successor records, the loop allocates nothing: steps, channel moves
-     and labels are memo reads.
+     in exactly the order the tree-based engine did.  The loop allocates
+     nothing: steps, channel moves and labels are memo reads.
 
      Partial-order reduction ([bounds.por]): over a multiset channel a
      drop commutes with every other move — Drop(d,p); m and m; Drop(d,p)
@@ -421,81 +544,71 @@ module Make (P : Spec.S) = struct
      capacity therefore preserves exactly the station-state/counter
      projections (phantom reachability, packet alphabet, boundness probe
      verdicts); see DESIGN §5.13 for the argument and the Q1 caveat. *)
-  let iter_successors ?(deliver_valid_only = false) bounds c push =
+  let iter_succ ?(deliver_valid_only = false) bounds sid rid tr rt sub del push =
     (* User submission. *)
-    if c.submitted < bounds.submit_budget then begin
-      let s', sid' = step_submit c.sender c.sid in
+    if sub < bounds.submit_budget then begin
+      let _, sid' = step_submit (sender_of sid) sid in
       push
-        (msg_label send_msg_labels (fun n -> Action.Send_msg n) c.submitted)
-        { c with sender = s'; sid = sid'; submitted = c.submitted + 1 }
+        (msg_label send_msg_labels (fun n -> Action.Send_msg n) sub)
+        sid' rid tr rt (sub + 1) del
     end;
     (* Sender poll: emission or silent tick. *)
-    (let emit, s', sid' = step_sender_poll c.sender c.sid in
+    (let emit, _, sid' = step_sender_poll (sender_of sid) sid in
      match emit with
      | Some pkt ->
-         if chan_card c.tr < bounds.capacity_tr then begin
-           let p = emitted spoll_pkt c.sid pkt in
-           push (labels p).send_tr { c with sender = s'; sid = sid'; tr = chan_add c.tr p }
+         if chan_card tr < bounds.capacity_tr then begin
+           let p = emitted spoll_pkt sid pkt in
+           push (labels p).send_tr sid' rid (chan_add tr p) rt sub del
          end
      | None ->
          (* Interned-id equality is comparator equality, so this is the old
             [P.compare_sender s' c.sender <> 0] silent-tick test. *)
-         if sid' <> c.sid then push None { c with sender = s'; sid = sid' });
+         if sid' <> sid then push None sid' rid tr rt sub del);
     (* Receiver poll: delivery, reverse send, or silent tick. *)
-    (let emit, r', rid' = step_receiver_poll c.receiver c.rid in
+    (let emit, _, rid' = step_receiver_poll (receiver_of rid) rid in
      match emit with
      | Some Spec.Rdeliver ->
-         if (not deliver_valid_only) || c.delivered < c.submitted then
+         if (not deliver_valid_only) || del < sub then
            push
-             (msg_label receive_msg_labels (fun n -> Action.Receive_msg n) c.delivered)
-             { c with receiver = r'; rid = rid'; delivered = c.delivered + 1 }
+             (msg_label receive_msg_labels (fun n -> Action.Receive_msg n) del)
+             sid rid' tr rt sub (del + 1)
      | Some (Spec.Rsend pkt) ->
-         if chan_card c.rt < bounds.capacity_rt then begin
-           let p = emitted rpoll_pkt c.rid pkt in
-           push (labels p).send_rt { c with receiver = r'; rid = rid'; rt = chan_add c.rt p }
+         if chan_card rt < bounds.capacity_rt then begin
+           let p = emitted rpoll_pkt rid pkt in
+           push (labels p).send_rt sid rid' tr (chan_add rt p) sub del
          end
-     | None -> if rid' <> c.rid then push None { c with receiver = r'; rid = rid' });
+     | None -> if rid' <> rid then push None sid rid' tr rt sub del);
     (* Adversarial channel: deliver any in-transit packet, either direction.
        Drops are unconditional normally, lazy (at-capacity only) under POR. *)
     let n = Pvec.Index.size pkts in
-    if chan_card c.tr > 0 then begin
-      let drop =
-        bounds.allow_drop && ((not bounds.por) || chan_card c.tr >= bounds.capacity_tr)
-      in
+    if chan_card tr > 0 then begin
+      let drop = bounds.allow_drop && ((not bounds.por) || chan_card tr >= bounds.capacity_tr) in
       for i = 0 to n - 1 do
         let p = Pvec.Index.nth_by_value pkts i in
-        let tr' = chan_remove c.tr p in
+        let tr' = chan_remove tr p in
         if tr' >= 0 then begin
-          let r', rid' = step_data_id c.receiver c.rid p in
-          push (labels p).recv_tr { c with receiver = r'; rid = rid'; tr = tr' };
-          if drop then push (labels p).drop_tr { c with tr = tr' }
+          let _, rid' = step_data_id (receiver_of rid) rid p in
+          push (labels p).recv_tr sid rid' tr' rt sub del;
+          if drop then push (labels p).drop_tr sid rid tr' rt sub del
         end
       done
     end;
-    if chan_card c.rt > 0 then begin
-      let drop =
-        bounds.allow_drop && ((not bounds.por) || chan_card c.rt >= bounds.capacity_rt)
-      in
+    if chan_card rt > 0 then begin
+      let drop = bounds.allow_drop && ((not bounds.por) || chan_card rt >= bounds.capacity_rt) in
       for i = 0 to n - 1 do
         let p = Pvec.Index.nth_by_value pkts i in
-        let rt' = chan_remove c.rt p in
+        let rt' = chan_remove rt p in
         if rt' >= 0 then begin
-          let s', sid' = step_ack_id c.sender c.sid p in
-          push (labels p).recv_rt { c with sender = s'; sid = sid'; rt = rt' };
-          if drop then push (labels p).drop_rt { c with rt = rt' }
+          let _, sid' = step_ack_id (sender_of sid) sid p in
+          push (labels p).recv_rt sid' rid tr rt' sub del;
+          if drop then push (labels p).drop_rt sid rid tr rt' sub del
         end
       done
     end
 
-  (* Visited-table sizing: scale with the node budget (the table's true
-     eventual population) instead of a fixed 4096, capped so absurd
-     budgets don't pre-allocate gigabytes; [size_hint] overrides when the
-     caller knows better (e.g. re-running a protocol whose reach is
-     known). *)
-  let visited_size ?size_hint bounds =
-    match size_hint with
-    | Some n -> max 16 n
-    | None -> max 1024 (min bounds.max_nodes 1_048_576)
+  let iter_successors ?deliver_valid_only bounds c push =
+    iter_succ ?deliver_valid_only bounds c.sid c.rid c.tr c.rt c.submitted c.delivered
+      (fun act sid rid tr rt sub del -> push act (config_of sid rid tr rt sub del))
 
   (* Append-only int sequence in 64-int chunks: small blocks come from
      the GC's size-classed pools, which the next exploration reuses,
@@ -549,19 +662,17 @@ module Make (P : Spec.S) = struct
       t.distinct <- t.distinct + 1
     end
 
-  (* The explored graph.  Ids are dense and in BFS order, so the queue is
-     the id range [expanded, count) and "expanded" is [id < expanded].
-     [acts] counts the labelled moves on the BFS-tree path to each id;
-     parent links and edges are allocated only when asked for (empty
-     arrays otherwise).  Edges are kept as flat int arrays, not lists: a
-     configuration is expanded once and in id order, so the targets of
-     [src]'s moves are [edges.(first_edge.(src)) ..], up to the next
-     source's first edge. *)
+  (* The explored graph.  Ids are dense and in BFS order — the visited
+     table's own insertion order — so the queue is the id range
+     [expanded, count) and "expanded" is [id < expanded].  [acts] counts
+     the labelled moves on the BFS-tree path to each id; parent links and
+     edges are allocated only when asked for (empty arrays otherwise).
+     Edges are kept as flat int arrays, not lists: a configuration is
+     expanded once and in id order, so the targets of [src]'s moves are
+     [edges.(first_edge.(src)) ..], up to the next source's first edge. *)
   type graph = {
-    mutable nodes : config array;
-    mutable count : int;
+    visited : Table.t;
     mutable expanded : int;
-    index : int Ctbl.t;
     mutable acts : int array;
     keep_parents : bool;
     mutable parent : int array;
@@ -581,13 +692,11 @@ module Make (P : Spec.S) = struct
      major heap.  With a 1024 start the serve-mixed benchmark's p90
      latency read 3% and 14% above the parent's in two batches of
      three runs; with 64 it reads the same. *)
-  let create_graph ~parents ~preds sz =
+  let create_graph ~parents ~preds =
     let len = 64 in
     {
-      nodes = Array.make len initial;
-      count = 0;
+      visited = Table.create ();
       expanded = 0;
-      index = Ctbl.create sz;
       acts = Array.make len 0;
       keep_parents = parents;
       parent = (if parents then Array.make len (-1) else [||]);
@@ -602,51 +711,42 @@ module Make (P : Spec.S) = struct
     }
 
   let grow g =
-    let len = 2 * Array.length g.nodes in
+    let len = 2 * Array.length g.acts in
     let resize a fill =
       if Array.length a = 0 then a
       else begin
         let b = Array.make len fill in
-        Array.blit a 0 b 0 g.count;
+        Array.blit a 0 b 0 (Array.length a);
         b
       end
     in
-    g.nodes <- resize g.nodes initial;
     g.acts <- resize g.acts 0;
     g.parent <- resize g.parent (-1);
     g.label <- resize g.label None;
     g.first_edge <- resize g.first_edge 0
 
-  let insert g ~cap src act depth c =
-    if g.count >= cap then g.truncated <- true
+  (* [sid .. del] reached from [src] ([-1] for a seed): an edge is
+     recorded whether or not it is new. *)
+  let visit g ~cap src act depth sid rid tr rt sub del =
+    let r = Table.probe g.visited sid rid tr rt sub del in
+    if r >= 0 then begin
+      if g.keep_preds && src >= 0 then Ivec.push g.edges r
+    end
+    else if Table.length g.visited >= cap then g.truncated <- true
     else begin
-      if g.count = Array.length g.nodes then grow g;
-      let id = g.count in
-      g.count <- id + 1;
-      g.nodes.(id) <- c;
-      Ctbl.add g.index c id;
+      let id = Table.length g.visited in
+      if id = Array.length g.acts then grow g;
+      ignore (Table.insert g.visited (lnot r) sid rid tr rt sub del);
       g.acts.(id) <- (if src < 0 then 0 else g.acts.(src) + Bool.to_int (Option.is_some act));
       if g.keep_parents then begin
         g.parent.(id) <- src;
         g.label.(id) <- act
       end;
       if g.keep_preds && src >= 0 then Ivec.push g.edges id;
-      tally g.senders c.sid;
-      tally g.receivers c.rid;
+      tally g.senders sid;
+      tally g.receivers rid;
       if depth > g.max_depth then g.max_depth <- depth
     end
-
-  (* [c] reached from [src] ([-1] for a seed): an edge is recorded
-     whether or not [c] is new.  Without edges a hit needs no id, so the
-     lookup is the exception-free [mem]. *)
-  let visit g ~cap src act depth c =
-    if not g.keep_preds then begin
-      if not (Ctbl.mem g.index c) then insert g ~cap src act depth c
-    end
-    else
-      match Ctbl.find g.index c with
-      | id -> if src >= 0 then Ivec.push g.edges id
-      | exception Not_found -> insert g ~cap src act depth c
 
   exception Stop
 
@@ -656,45 +756,63 @@ module Make (P : Spec.S) = struct
      expanded; [stop] ends the search at the first dequeue that finds
      [stop] or more configurations held (setting [truncated] when the
      queue was not empty), so the last expansion may overshoot.
-     [on_edge g src act c] sees every move in generation order, before
-     [c] is inserted, and stops the search by returning [true]. *)
-  let explore ?deliver_valid_only ?size_hint ?(checkpoint = ignore) ?(parents = false)
-      ?(preds = false) ?(on_edge = fun _ _ _ _ -> false) ~cap ~stop ~seeds bounds =
-    let g = create_graph ~parents ~preds (visited_size ?size_hint bounds) in
-    List.iter (visit g ~cap (-1) None 0) seeds;
-    let depth = ref 0 and level_end = ref g.count in
-    let push act c =
+     [on_edge g src act sid rid tr rt sub del] sees every move in
+     generation order, before its target is inserted, and stops the
+     search by returning [true]. *)
+  let explore ?deliver_valid_only ?(checkpoint = ignore) ?(parents = false) ?(preds = false)
+      ?(on_edge = fun _ _ _ _ _ _ _ _ _ -> false) ~cap ~stop ~seeds bounds =
+    let g = create_graph ~parents ~preds in
+    let t = g.visited in
+    List.iter
+      (fun c -> visit g ~cap (-1) None 0 c.sid c.rid c.tr c.rt c.submitted c.delivered)
+      seeds;
+    let depth = ref 0 and level_end = ref (Table.length t) in
+    let push act sid rid tr rt sub del =
       let src = g.expanded - 1 in
-      if on_edge g src act c then raise_notrace Stop;
-      visit g ~cap src act (!depth + 1) c
+      if on_edge g src act sid rid tr rt sub del then raise_notrace Stop;
+      visit g ~cap src act (!depth + 1) sid rid tr rt sub del
     in
     (try
-       while g.expanded < g.count do
-         if g.count >= stop then begin
+       while g.expanded < Table.length t do
+         if Table.length t >= stop then begin
            g.truncated <- true;
            raise_notrace Stop
          end;
          let src = g.expanded in
          if src = !level_end then begin
            incr depth;
-           level_end := g.count
+           level_end := Table.length t
          end;
          g.expanded <- src + 1;
          if g.keep_preds then g.first_edge.(src) <- g.edges.Ivec.len;
          if (src + 1) land 2047 = 0 then checkpoint ();
-         iter_successors ?deliver_valid_only bounds g.nodes.(src) push
+         iter_succ ?deliver_valid_only bounds (Table.get t src 0) (Table.get t src 1)
+           (Table.get t src 2) (Table.get t src 3) (Table.get t src 4) (Table.get t src 5) push
        done
      with Stop -> ());
     g
 
-  let size g = g.count
-  let node g id = g.nodes.(id)
-  let find g c = Ctbl.find_opt g.index c
+  let size g = Table.length g.visited
+  let sid g id = Table.get g.visited id 0
+  let rid g id = Table.get g.visited id 1
+  let tr g id = Table.get g.visited id 2
+  let rt g id = Table.get g.visited id 3
+  let submitted g id = Table.get g.visited id 4
+  let delivered g id = Table.get g.visited id 5
+
+  let node g id =
+    config_of (sid g id) (rid g id) (tr g id) (rt g id) (submitted g id) (delivered g id)
+
+  let find g c =
+    match Table.find g.visited c.sid c.rid c.tr c.rt c.submitted c.delivered with
+    | -1 -> None
+    | id -> Some id
+
   let truncated g = g.truncated
 
   let graph_stats g =
     {
-      nodes = g.count;
+      nodes = size g;
       sender_states = g.senders.distinct;
       receiver_states = g.receivers.distinct;
       max_depth = g.max_depth;
@@ -712,7 +830,7 @@ module Make (P : Spec.S) = struct
      The forward edges are first turned around into predecessor ranges
      ([preds.(start.(j)) ..] up to [start.(j + 1)]) by a counting sort. *)
   let distances_to g source =
-    let n = g.count and m = g.edges.Ivec.len in
+    let n = size g and m = g.edges.Ivec.len in
     let start = Array.make (n + 1) 0 in
     for k = 0 to m - 1 do
       let j = Ivec.get g.edges k in
@@ -757,11 +875,12 @@ module Make (P : Spec.S) = struct
   let final act = match act with Some a -> [ a ] | None -> []
 
   type reach = {
-    configs : config list;
+    graph : graph;
     truncated : bool;
     reach_stats : stats;
     first_phantom : int option;
     phantom_in_budget : bool;
+    stuck : int -> bool;
   }
 
   (* The reachable set itself, in BFS order, for consumers that need the
@@ -771,30 +890,37 @@ module Make (P : Spec.S) = struct
      [~deliver_valid_only:true].  Seeds are visited at depth 0 in caller
      order, deduplicated; [reachable_set] seeds [initial].
 
-     The sweep also scans for phantom deliveries as it generates
-     successors.  [first_phantom] is the action count of the first move
-     (in BFS generation order — exactly the move {!search} stops at) that
+     Two scans ride on the sweep, on the successors' ints.  The phantom
+     scan: [first_phantom] is the action count of the first move (in BFS
+     generation order — exactly the move {!search} stops at) that
      produces a configuration with [delivered > submitted].  [search]
      stops at the first dequeue past the node budget, so
      [phantom_in_budget] records whether the move's source was dequeued
      with fewer than [max_nodes] configurations held: its first move is
-     seen before any of its children is inserted.
-
-     [on_edge src act c] sees every move in generation order.  The cap
-     rule drains the queue, so it sees all moves of every held
-     configuration. *)
-  let from_configs ?deliver_valid_only ?size_hint ?checkpoint ?(on_edge = fun _ _ _ -> ())
-      ~seeds bounds =
+     seen before any of its children is inserted.  The progress scan
+     marks each id that has a move other than a user submission; the cap
+     rule drains the queue, so every held configuration's moves are
+     seen, and [stuck id] is exact. *)
+  let from_configs ?deliver_valid_only ?checkpoint ~seeds bounds =
     let first_phantom = ref None and phantom_in_budget = ref false in
     let scanned = ref (-1) and in_budget = ref true in
-    let on_edge g src act c =
-      on_edge src act c;
+    let progress = ref (Bytes.make 64 '\000') in
+    let on_edge g src act _ _ _ _ sub del =
+      (match act with
+      | Some (Action.Send_msg _) -> ()
+      | _ ->
+          let b = !progress in
+          if src >= Bytes.length b then begin
+            progress := Bytes.make (max (src + 1) (2 * Bytes.length b)) '\000';
+            Bytes.blit b 0 !progress 0 (Bytes.length b)
+          end;
+          Bytes.unsafe_set !progress src '\001');
       if !first_phantom = None then begin
         if src <> !scanned then begin
           scanned := src;
-          in_budget := g.count < bounds.max_nodes
+          in_budget := size g < bounds.max_nodes
         end;
-        if c.delivered > c.submitted then begin
+        if del > sub then begin
           first_phantom := Some (g.acts.(src) + Bool.to_int (Option.is_some act));
           phantom_in_budget := !in_budget
         end
@@ -802,39 +928,42 @@ module Make (P : Spec.S) = struct
       false
     in
     let g =
-      explore ?deliver_valid_only ?size_hint ?checkpoint ~on_edge ~cap:bounds.max_nodes
-        ~stop:max_int ~seeds bounds
+      explore ?deliver_valid_only ?checkpoint ~on_edge ~cap:bounds.max_nodes ~stop:max_int ~seeds
+        bounds
     in
-    let rec configs id acc = if id < 0 then acc else configs (id - 1) (g.nodes.(id) :: acc) in
+    let progress = !progress in
     {
-      configs = configs (g.count - 1) [];
+      graph = g;
       truncated = g.truncated;
       reach_stats = graph_stats g;
       first_phantom = !first_phantom;
       phantom_in_budget = !phantom_in_budget;
+      stuck = (fun id -> id >= Bytes.length progress || Bytes.get progress id = '\000');
     }
 
-  let reachable_set ?deliver_valid_only ?size_hint ?checkpoint ?on_edge bounds =
-    from_configs ?deliver_valid_only ?size_hint ?checkpoint ?on_edge ~seeds:[ initial ] bounds
+  let reachable_set ?deliver_valid_only ?checkpoint bounds =
+    from_configs ?deliver_valid_only ?checkpoint ~seeds:[ initial ] bounds
 
-  let search ?(stop_at_phantom = true) ?size_hint ?checkpoint bounds =
+  let configs r = List.init (size r.graph) (node r.graph)
+
+  let search ?(stop_at_phantom = true) ?checkpoint bounds =
     let violation = ref None in
-    let on_edge g src act c =
+    let on_edge g src act _ _ _ _ sub del =
       (* Phantom delivery: more receive_msg than send_msg. *)
-      stop_at_phantom && c.delivered > c.submitted
+      stop_at_phantom && del > sub
       && begin
            violation := Some (path_to g src @ final act);
            true
          end
     in
     let g =
-      explore ?size_hint ?checkpoint ~parents:stop_at_phantom ~on_edge ~cap:max_int
-        ~stop:bounds.max_nodes ~seeds:[ initial ] bounds
+      explore ?checkpoint ~parents:stop_at_phantom ~on_edge ~cap:max_int ~stop:bounds.max_nodes
+        ~seeds:[ initial ] bounds
     in
     match !violation with
     | Some trace -> Violation trace
     | None ->
-        if g.count >= bounds.max_nodes then Node_budget (graph_stats g)
+        if size g >= bounds.max_nodes then Node_budget (graph_stats g)
         else No_violation (graph_stats g)
 
   type replay_outcome =
@@ -850,23 +979,24 @@ module Make (P : Spec.S) = struct
      with [truncated = true] means the node budget was exhausted before
      the frontier drained: the predicate held on everything explored but
      is not certified. *)
-  let replay_monitor ?(deliver_valid_only = true) ?size_hint ?checkpoint
-      ~(monitor : config -> bool) bounds =
+  let replay_monitor ?(deliver_valid_only = true) ?checkpoint ~(monitor : config -> bool) bounds =
     if not (monitor initial) then
       Replay_refuted
         ([], initial, { nodes = 1; sender_states = 1; receiver_states = 1; max_depth = 0 })
     else begin
       let refuted = ref None in
-      let on_edge g src act c =
-        (not (Ctbl.mem g.index c))
-        && (not (monitor c))
+      let on_edge g src act sid rid tr rt sub del =
+        Table.find g.visited sid rid tr rt sub del < 0
+        &&
+        let c = config_of sid rid tr rt sub del in
+        (not (monitor c))
         && begin
              refuted := Some (path_to g src @ final act, c);
              true
            end
       in
       let g =
-        explore ~deliver_valid_only ?size_hint ?checkpoint ~parents:true ~on_edge ~cap:max_int
+        explore ~deliver_valid_only ?checkpoint ~parents:true ~on_edge ~cap:max_int
           ~stop:bounds.max_nodes ~seeds:[ initial ] bounds
       in
       match !refuted with
@@ -885,26 +1015,25 @@ module Make (P : Spec.S) = struct
      an early (sub-capacity) drop would be missed, and conversely POR's
      sparser move relation could make a configuration look wedged whose
      escape is an early drop.  See DESIGN §5.13. *)
-  let find_wedge_search ?size_hint ?checkpoint bounds =
+  let find_wedge_search ?checkpoint bounds =
     let bounds = { bounds with por = false } in
     let deliverers = ref [] in
-    let on_edge _ src act _ =
+    let on_edge _ src act _ _ _ _ _ _ =
       (match act with Some (Action.Receive_msg _) -> deliverers := src :: !deliverers | _ -> ());
       false
     in
     let g =
-      explore ?size_hint ?checkpoint ~parents:true ~preds:true ~on_edge ~cap:max_int
-        ~stop:bounds.max_nodes ~seeds:[ initial ] bounds
+      explore ?checkpoint ~parents:true ~preds:true ~on_edge ~cap:max_int ~stop:bounds.max_nodes
+        ~seeds:[ initial ] bounds
     in
-    let delivers = Array.make g.count false in
+    let delivers = Array.make (size g) false in
     List.iter (fun id -> delivers.(id) <- true) !deliverers;
     let dist = distances_to g (fun id -> delivers.(id) || id >= g.expanded) in
     (* Shortest wedged semi-valid configuration = first in BFS order. *)
     let rec wedged id =
       if id >= g.expanded then None
-      else
-        let c = g.nodes.(id) in
-        if dist.(id) = max_int && c.submitted > c.delivered then Some id else wedged (id + 1)
+      else if dist.(id) = max_int && submitted g id > delivered g id then Some id
+      else wedged (id + 1)
     in
     match wedged 0 with
     | None -> No_wedge (graph_stats g)

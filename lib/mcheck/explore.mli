@@ -19,9 +19,14 @@
     hooks, comparator-keyed otherwise), and so are channel contents: a
     channel multiset is a {!Pvec.t} count vector over the interned packet
     alphabet, interned once into a dense channel id.  A configuration is
-    therefore six ints beside its two station states, the visited set
-    hashes and compares only those ints, and every transition — station
-    steps, channel adds and removals — is a memo read keyed by ids.
+    therefore six ints — (sid, rid, tr, rt, submitted, delivered) — and
+    that is all the kernel stores: the visited set ({!Table}) keeps the
+    ints in small chunks under dense ids and indexes them with an
+    open-addressed table that starts small and doubles with the graph.
+    The successor relation hands the kernel ints, every transition —
+    station steps, channel adds and removals — is a memo read keyed by
+    ids, and a {!Make.config} record is built only where the API hands
+    one out ({!Make.node}, {!Make.configs}, witnesses, monitors).
     Channel moves are still enumerated in increasing packet-value order,
     so BFS order — and hence every counterexample, statistic, and report —
     is identical to the tree-based engine's (retained as {!Reference} for
@@ -96,6 +101,31 @@ val pp_wedge_outcome : Format.formatter -> wedge_outcome -> unit
     sequence-number protocols never do within any explored space. *)
 val find_wedge : Nfc_protocol.Spec.t -> bounds -> wedge_outcome
 
+(** The visited set: configurations as six ints (sid, rid, tr, rt,
+    submitted, delivered) under dense ids in insertion order, indexed by
+    an open-addressed [int array] of ids with linear probing.  It starts
+    at 64 slots and doubles when more than half full, so it costs what
+    it holds, not a node budget.  Shared by the kernel, the boundness
+    probes and the stab tier's legitimacy test. *)
+module Table : sig
+  type t
+
+  val create : unit -> t
+
+  (** Number of configurations stored: ids are [0 .. length t - 1]. *)
+  val length : t -> int
+
+  (** [add t sid rid tr rt submitted delivered]: the id of that
+      configuration, storing it under the next id if it is new. *)
+  val add : t -> int -> int -> int -> int -> int -> int -> int
+
+  (** The id of that configuration, or [-1] when it is not stored. *)
+  val find : t -> int -> int -> int -> int -> int -> int -> int
+
+  (** Empty the table for reuse, back at its starting size. *)
+  val clear : t -> unit
+end
+
 (** The per-protocol exploration engine: typed configurations, the
     labelled successor relation, the breadth-first kernel and its clients.
 
@@ -146,6 +176,11 @@ module Make (P : Nfc_protocol.Spec.S) : sig
 
   val intern_receiver : P.receiver -> int
 
+  (** [sender_of (intern_sender s)] is [s]; likewise [receiver_of]. *)
+  val sender_of : int -> P.sender
+
+  val receiver_of : int -> P.receiver
+
   (** Memoised single-step transitions in arrays indexed by interned
       ids: each distinct (state, input) pair runs protocol code once,
       engine-wide — including calls made by sibling analyses sharing this
@@ -167,7 +202,10 @@ module Make (P : Nfc_protocol.Spec.S) : sig
 
   (** In-transit packets of a configuration as a (packet value, count)
       association list sorted by packet value — the decoded view of the
-      interned vectors, for alphabet censuses and order-stable output. *)
+      interned vectors, for alphabet censuses and order-stable output.
+      [packets_tr c] is [chan_packets c.tr]. *)
+  val chan_packets : int -> (int * int) list
+
   val packets_tr : config -> (int * int) list
 
   val packets_rt : config -> (int * int) list
@@ -179,22 +217,18 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val compare_config : config -> config -> int
 
   (** Labelled successor relation under the given bounds ([None] labels a
-      silent timer tick), in continuation-passing style — the spine the
-      breadth-first loops run on; no per-move allocation beyond the
-      successor configuration itself.  [deliver_valid_only] (default
-      false) gates message delivery on [delivered < submitted] — the
-      boundness semantics, which never explores phantom branches. *)
+      silent timer tick), in continuation-passing style.  [deliver_valid_only]
+      (default false) gates message delivery on [delivered < submitted] —
+      the boundness semantics, which never explores phantom branches.
+      The kernel runs the same relation on ints and allocates nothing
+      per move; this record view builds one record per successor, for
+      the few callers that walk single configurations (witnesses). *)
   val iter_successors :
     ?deliver_valid_only:bool ->
     bounds ->
     config ->
     (Nfc_automata.Action.t option -> config -> unit) ->
     unit
-
-  (** Hash table keyed on configurations under the engine's identity
-      (interned state and channel ids, counters): the visited-table type
-      of every exploration. *)
-  module Ctbl : Hashtbl.S with type key = config
 
   (** An explored graph: configurations under dense ids in BFS order
       (seeds first), the configuration-to-id index, statistics and the
@@ -208,20 +242,20 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       queue (every held configuration is expanded); [stop] ends the search
       at the first dequeue that finds [stop] or more held (the last
       expansion may overshoot).  Either sets the truncation flag when it
-      cuts something off.  [on_edge g src act c] sees every move in
-      generation order, before [c] is inserted, and returning [true]
-      stops the search.  [parents] keeps BFS-tree links (for shortest
-      witnesses), [preds] keeps every move's target as a flat edge list
-      (for {!distances_to});
-      both default to [false] and cost nothing when off.  [size_hint] and
-      [checkpoint] as for {!reachable_set}. *)
+      cuts something off.  [on_edge g src act sid rid tr rt submitted delivered]
+      sees every move in generation order, as the six ints of its target,
+      before the target is inserted; returning [true] stops the search.
+      [parents] keeps BFS-tree links (for shortest witnesses), [preds]
+      keeps every move's target as a flat edge list (for
+      {!distances_to}); both default to [false] and cost nothing when
+      off.  [checkpoint] as for {!reachable_set}. *)
   val explore :
     ?deliver_valid_only:bool ->
-    ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
     ?parents:bool ->
     ?preds:bool ->
-    ?on_edge:(graph -> int -> Nfc_automata.Action.t option -> config -> bool) ->
+    ?on_edge:
+      (graph -> int -> Nfc_automata.Action.t option -> int -> int -> int -> int -> int -> int -> bool) ->
     cap:int ->
     stop:int ->
     seeds:config list ->
@@ -231,7 +265,18 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   (** Number of configurations held: ids are [0 .. size g - 1]. *)
   val size : graph -> int
 
+  (** The ints of configuration [id], without building its record. *)
+  val sid : graph -> int -> int
+
+  val rid : graph -> int -> int
+  val tr : graph -> int -> int
+  val rt : graph -> int -> int
+  val submitted : graph -> int -> int
+  val delivered : graph -> int -> int
+
+  (** Configuration [id] as a record (built on each call). *)
   val node : graph -> int -> config
+
   val find : graph -> config -> int option
   val truncated : graph -> bool
 
@@ -242,7 +287,7 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val distances_to : graph -> (int -> bool) -> int array
 
   type reach = {
-    configs : config list;  (** every visited configuration, in BFS order *)
+    graph : graph;  (** every visited configuration, under ids in BFS order *)
     truncated : bool;  (** true iff [max_nodes] cut the exploration off *)
     reach_stats : stats;
     first_phantom : int option;
@@ -256,58 +301,44 @@ module Make (P : Nfc_protocol.Spec.S) : sig
         (** whether that first phantom move was generated before {!search}
             would have exhausted [max_nodes] — i.e. whether [search]
             returns [Violation] rather than [Node_budget] *)
+    stuck : int -> bool;
+        (** [stuck id]: configuration [id] has no move other than a user
+            submission — the dead-configuration test of the linter's Q1
+            rule, recorded during the sweep (every held configuration is
+            expanded, so it is exact) *)
   }
 
   (** The reachable set itself (not just its statistics).  One full
-      breadth-first sweep serves three consumers: the configuration list
+      breadth-first sweep serves four consumers: the explored graph
       (census, probing), the phantom scan (replacing a separate
-      {!search} pass), and — when phantom-free — the boundness
-      measurement's gated exploration.
+      {!search} pass), the Q1 progress bits ([stuck]), and — when
+      phantom-free — the boundness measurement's gated exploration.
 
-      [size_hint] pre-sizes the visited table (default: scaled to
-      [max_nodes]).  [checkpoint] is called every ~2k dequeues — the
-      cooperative cancellation hook; it may raise to abort the
-      exploration.  [on_edge src act c] sees every move in generation
-      order, from source id [src] (an index into [configs]); since every
-      held configuration is expanded, it sees all their moves. *)
+      [checkpoint] is called every ~2k dequeues — the cooperative
+      cancellation hook; it may raise to abort the exploration. *)
   val reachable_set :
-    ?deliver_valid_only:bool ->
-    ?size_hint:int ->
-    ?checkpoint:(unit -> unit) ->
-    ?on_edge:(int -> Nfc_automata.Action.t option -> config -> unit) ->
-    bounds ->
-    reach
+    ?deliver_valid_only:bool -> ?checkpoint:(unit -> unit) -> bounds -> reach
 
   (** {!reachable_set} seeded from a configuration list instead of
-      [initial]: the kernel under the [cap = max_nodes] rule, so
-      [configs] lists the distinct seeds first, then the BFS levels, and
-      a seed list longer than [max_nodes] truncates.
+      [initial]: the kernel under the [cap = max_nodes] rule, so the
+      graph holds the distinct seeds first, then the BFS levels, and a
+      seed list longer than [max_nodes] truncates.
       [from_configs ~seeds:[initial]] is [reachable_set]. *)
   val from_configs :
-    ?deliver_valid_only:bool ->
-    ?size_hint:int ->
-    ?checkpoint:(unit -> unit) ->
-    ?on_edge:(int -> Nfc_automata.Action.t option -> config -> unit) ->
-    seeds:config list ->
-    bounds ->
-    reach
+    ?deliver_valid_only:bool -> ?checkpoint:(unit -> unit) -> seeds:config list -> bounds -> reach
+
+  (** Every visited configuration as a record, in BFS order. *)
+  val configs : reach -> config list
 
   (** BFS counterexample search: the kernel under the [stop = max_nodes]
       rule, so a [Node_budget] count may overshoot [max_nodes] by the
-      last expansion.  Same [size_hint]/[checkpoint] contract as
-      {!reachable_set}. *)
-  val search :
-    ?stop_at_phantom:bool ->
-    ?size_hint:int ->
-    ?checkpoint:(unit -> unit) ->
-    bounds ->
-    outcome
+      last expansion.  Same [checkpoint] contract as {!reachable_set}. *)
+  val search : ?stop_at_phantom:bool -> ?checkpoint:(unit -> unit) -> bounds -> outcome
 
   (** Wedge (stuck-configuration) search.  Always POR-off (see
       {!type:bounds}): the lazy-drop reduction does not preserve the
       wedge analysis. *)
-  val find_wedge_search :
-    ?size_hint:int -> ?checkpoint:(unit -> unit) -> bounds -> wedge_outcome
+  val find_wedge_search : ?checkpoint:(unit -> unit) -> bounds -> wedge_outcome
 
   type replay_outcome =
     | Replay_refuted of Nfc_automata.Execution.t * config * stats
@@ -326,7 +357,6 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       carries a shortest witness trace. *)
   val replay_monitor :
     ?deliver_valid_only:bool ->
-    ?size_hint:int ->
     ?checkpoint:(unit -> unit) ->
     monitor:(config -> bool) ->
     bounds ->

@@ -450,6 +450,20 @@ let reachable_set_stats (proto : Spec.t) bounds =
   let reach = R.reachable_set bounds in
   (reach.R.reach_stats, reach.R.truncated)
 
+let reachable_order (proto : Spec.t) bounds =
+  let module P = (val proto) in
+  let module R = Make (P) in
+  let bindings m = List.sort compare (M.fold (fun p n acc -> (p, n) :: acc) m []) in
+  List.map
+    (fun (c : R.config) ->
+      ( Format.asprintf "%a" P.pp_sender c.R.sender,
+        Format.asprintf "%a" P.pp_receiver c.R.receiver,
+        bindings c.R.tr,
+        bindings c.R.rt,
+        c.R.submitted,
+        c.R.delivered ))
+    (R.reachable_set bounds).R.configs
+
 let measure_boundness ?max_probes (proto : Spec.t) ~(explore : Explore.bounds)
     ~(probe : Boundness.probe_bounds) =
   let module P = (val proto) in

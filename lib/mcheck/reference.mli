@@ -20,6 +20,15 @@ val reachable : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.stats
     [reachable_set]. *)
 val reachable_set_stats : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.stats * bool
 
+(** The configurations of the old [reachable_set] in BFS order: the
+    station states rendered by the spec's printers, each channel as
+    (packet, count) pairs in packet order, then submitted and delivered.
+    The oracle for {!Explore}'s BFS order. *)
+val reachable_order :
+  Nfc_protocol.Spec.t ->
+  Explore.bounds ->
+  (string * string * (int * int) list * (int * int) list * int * int) list
+
 (** Boundness measurement (old gated reachability + tree-keyed probes);
     probes sample semi-valid configurations in visited-set order, exactly
     as {!Boundness.measure} does. *)

@@ -19,7 +19,7 @@
     that set.
 
     Station states and the packet alphabet are read off the BFS-ordered
-    configuration lists, so every field of {!report} — including witness
+    legitimate graph, so every field of {!report} — including witness
     traces and configuration prints — is a function of the protocol and
     [cfg] alone. *)
 
@@ -110,33 +110,34 @@ let analyze (spec : Spec.t) cfg =
   in
   (* 1. The legitimate set. *)
   let lreach = E.reachable_set lbounds in
-  let legit = Array.of_list lreach.E.configs in
+  let lg = lreach.E.graph in
+  let n_legit = E.size lg in
   let legit_closed = not lreach.E.truncated in
   (* Legitimacy lives on the counter-free projection, keyed as the
-     configuration with zeroed counters. *)
-  let proj (c : E.config) = { c with E.submitted = 0; delivered = 0 } in
-  let lset = E.Ctbl.create (Array.length legit * 2) in
-  Array.iter (fun c -> E.Ctbl.replace lset (proj c) ()) legit;
-  let legitimate c = E.Ctbl.mem lset (proj c) in
+     configuration's ints with zeroed counters. *)
+  let lset = Explore.Table.create () in
+  for i = 0 to n_legit - 1 do
+    ignore (Explore.Table.add lset (E.sid lg i) (E.rid lg i) (E.tr lg i) (E.rt lg i) 0 0)
+  done;
+  let legitimate sid rid tr rt = Explore.Table.find lset sid rid tr rt 0 0 >= 0 in
   (* 2. Observed station states (first-occurrence order in the
-     deterministic BFS configuration list) and the observed channel
-     alphabet (value order). *)
+     deterministic BFS order of the legitimate graph) and the observed
+     channel alphabet (value order). *)
   let collect_states id_of state_of =
     let seen = Hashtbl.create 64 in
     let out = ref [] and total = ref 0 in
-    Array.iter
-      (fun c ->
-        let id = id_of c in
-        if not (Hashtbl.mem seen id) then begin
-          Hashtbl.replace seen id ();
-          incr total;
-          if !total <= cfg.state_cap then out := (state_of c, id) :: !out
-        end)
-      legit;
+    for i = 0 to n_legit - 1 do
+      let id = id_of lg i in
+      if not (Hashtbl.mem seen id) then begin
+        Hashtbl.replace seen id ();
+        incr total;
+        if !total <= cfg.state_cap then out := (state_of id, id) :: !out
+      end
+    done;
     (List.rev !out, !total)
   in
-  let senders, n_senders = collect_states (fun c -> c.E.sid) (fun c -> c.E.sender) in
-  let receivers, n_receivers = collect_states (fun c -> c.E.rid) (fun c -> c.E.receiver) in
+  let senders, n_senders = collect_states E.sid E.sender_of in
+  let receivers, n_receivers = collect_states E.rid E.receiver_of in
   let states_clamped = n_senders > cfg.state_cap || n_receivers > cfg.state_cap in
   let alphabet =
     (* Decode each distinct channel id once, not each configuration. *)
@@ -149,8 +150,11 @@ let analyze (spec : Spec.t) cfg =
         Pvec.fold (fun id _ acc -> Iset.add (Pvec.Index.packet E.pkts id) acc) (E.chan ch) acc
       end
     in
-    Iset.elements
-      (Array.fold_left (fun acc c -> add_channel c.E.tr (add_channel c.E.rt acc)) Iset.empty legit)
+    let acc = ref Iset.empty in
+    for i = 0 to n_legit - 1 do
+      acc := add_channel (E.tr lg i) (add_channel (E.rt lg i) !acc)
+    done;
+    Iset.elements !acc
   in
   let alphabet_ids = List.map (fun v -> Pvec.Index.id E.pkts v) alphabet in
   (* 3. Corrupted starts: observed station products x channel multisets
@@ -221,7 +225,9 @@ let analyze (spec : Spec.t) cfg =
     let n_seeds = List.length seeds in
     let g = E.explore ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds rbounds in
     let n = E.size g in
-    let dist = E.distances_to g (fun i -> legitimate (E.node g i)) in
+    let dist =
+      E.distances_to g (fun i -> legitimate (E.sid g i) (E.rid g i) (E.tr g i) (E.rt g i))
+    in
     (* Seeds occupy the first [min n_seeds n] slots of the BFS list, in
        enumeration order. *)
     let n_seeded = min n_seeds n in
@@ -318,7 +324,7 @@ let analyze (spec : Spec.t) cfg =
             Printf.sprintf
               "closed legitimate set of %d configurations; all %d corrupted starts converge \
                within %d moves"
-              (Array.length legit) cv.seeds_analyzed cv.bound )
+              n_legit cv.seeds_analyzed cv.bound )
   in
   (* 5. SS2: convergence preserved under duplication.  A duplication
      move redelivers an in-transit packet without consuming it; applied
@@ -331,30 +337,41 @@ let analyze (spec : Spec.t) cfg =
   let dup_exit_seeds =
     if ss1 <> Pass then []
     else begin
-      let seen = E.Ctbl.create 256 in
+      let seen = Explore.Table.create () in
       let out = ref [] in
-      Array.iter
-        (fun c ->
-          let consider c' =
-            if not (legitimate c') then begin
-              let key = proj c' in
-              if not (E.Ctbl.mem seen key) then begin
-                E.Ctbl.replace seen key ();
-                out := key :: !out
-              end
-            end
-          in
-          List.iter
-            (fun (v, _) ->
-              let r', rid' = E.step_data c.E.receiver c.E.rid v in
-              if rid' <> c.E.rid then consider { c with E.receiver = r'; rid = rid' })
-            (E.packets_tr c);
-          List.iter
-            (fun (v, _) ->
-              let s', sid' = E.step_ack c.E.sender c.E.sid v in
-              if sid' <> c.E.sid then consider { c with E.sender = s'; sid = sid' })
-            (E.packets_rt c))
-        legit;
+      for i = 0 to n_legit - 1 do
+        let sid = E.sid lg i and rid = E.rid lg i and tr = E.tr lg i and rt = E.rt lg i in
+        let consider sid rid =
+          if
+            (not (legitimate sid rid tr rt))
+            && Explore.Table.find seen sid rid tr rt 0 0 < 0
+          then begin
+            ignore (Explore.Table.add seen sid rid tr rt 0 0);
+            out :=
+              {
+                E.sender = E.sender_of sid;
+                sid;
+                receiver = E.receiver_of rid;
+                rid;
+                tr;
+                rt;
+                submitted = 0;
+                delivered = 0;
+              }
+              :: !out
+          end
+        in
+        List.iter
+          (fun (v, _) ->
+            let _, rid' = E.step_data (E.receiver_of rid) rid v in
+            if rid' <> rid then consider sid rid')
+          (E.chan_packets tr);
+        List.iter
+          (fun (v, _) ->
+            let _, sid' = E.step_ack (E.sender_of sid) sid v in
+            if sid' <> sid then consider sid' rid)
+          (E.chan_packets rt)
+      done;
       List.rev !out
     end
   in
@@ -391,7 +408,7 @@ let analyze (spec : Spec.t) cfg =
     submit_budget = lbounds.Explore.submit_budget;
     legit_budget = lbounds.Explore.max_nodes;
     recovery_budget = cfg.recovery_nodes;
-    legit_configs = Array.length legit;
+    legit_configs = n_legit;
     legit_closed;
     sender_states = n_senders;
     receiver_states = n_receivers;

@@ -49,7 +49,7 @@ let test_reach_stats_agree () =
         r.E.reach_stats.Explore.max_depth;
       checkb (n ^ " truncated") ref_truncated r.E.truncated;
       checki (n ^ " |configs| = nodes") r.E.reach_stats.Explore.nodes
-        (List.length r.E.configs))
+        (List.length (E.configs r)))
     (registry ())
 
 (* ---------------------------------------------- verdict differential *)
@@ -233,7 +233,7 @@ let test_from_configs_seed_contract () =
       let n = P.name in
       let r = E.reachable_set b in
       let f = E.from_configs ~seeds:[ E.initial ] b in
-      checkb (n ^ " initial seed: configs in order") true (same_configs r.E.configs f.E.configs);
+      checkb (n ^ " initial seed: configs in order") true (same_configs (E.configs r) (E.configs f));
       checkb (n ^ " initial seed: stats") true (r.E.reach_stats = f.E.reach_stats);
       checkb (n ^ " initial seed: truncated") true (r.E.truncated = f.E.truncated);
       checkb (n ^ " initial seed: first_phantom") true (r.E.first_phantom = f.E.first_phantom);
@@ -242,16 +242,16 @@ let test_from_configs_seed_contract () =
       (* The deepest configurations of the sweep, reversed and listed
          twice: the result must hold each once, in the reversed order. *)
       let k = 12 in
-      let deepest = List.filteri (fun i _ -> i >= List.length r.E.configs - k) r.E.configs in
+      let deepest = List.filteri (fun i _ -> i >= List.length (E.configs r) - k) (E.configs r) in
       let expected = List.rev deepest in
       let seeds = expected @ expected in
       let only_seeds = E.from_configs ~seeds { b with Explore.max_nodes = k } in
       checkb (n ^ " seeds deduplicated in caller order") true
-        (same_configs expected only_seeds.E.configs);
+        (same_configs expected (E.configs only_seeds));
       checki (n ^ " seeds at depth 0") 0 only_seeds.E.reach_stats.Explore.max_depth;
       let full = E.from_configs ~seeds b in
       checkb (n ^ " seeds lead the sweep") true
-        (same_configs expected (List.filteri (fun i _ -> i < k) full.E.configs));
+        (same_configs expected (List.filteri (fun i _ -> i < k) (E.configs full)));
       let short = E.from_configs ~seeds { b with Explore.max_nodes = k - 1 } in
       checkb (n ^ " seeds beyond max_nodes truncate") true short.E.truncated;
       checki (n ^ " truncated seed sweep size") (k - 1) short.E.reach_stats.Explore.nodes)
@@ -332,9 +332,9 @@ let test_por_preserves_projections () =
         checkb (n ^ " phantom existence preserved") true
           ((full.E.first_phantom = None) = (red.E.first_phantom = None));
         checkb (n ^ " t->r alphabet preserved") true
-          (alphabet E.packets_tr full.E.configs = alphabet E.packets_tr red.E.configs);
+          (alphabet E.packets_tr (E.configs full) = alphabet E.packets_tr (E.configs red));
         checkb (n ^ " r->t alphabet preserved") true
-          (alphabet E.packets_rt full.E.configs = alphabet E.packets_rt red.E.configs)
+          (alphabet E.packets_rt (E.configs full) = alphabet E.packets_rt (E.configs red))
       end)
     (all_protocols ());
   (* Most registry spaces exceed any practical budget at these bounds;

@@ -240,6 +240,75 @@ let test_channel_interning_agrees_with_pvec () =
   done;
   checkb "chan_add/chan_remove agree with Pvec.add/Pvec.remove_one" true !ok
 
+let test_visited_table_through_doublings () =
+  (* The kernel's visited set keeps each configuration as its six ints
+     and starts at 64 slots, doubling at load 1/2, so a 120k-node reach
+     of stenning passes a dozen rehashes.  Records exist only at the API
+     edge ([node], [configs], witnesses): the successor loop hands the
+     kernel ints, so the sweep allocates well under the nine words one
+     record per move would cost. *)
+  let proto = Nfc_protocol.Stenning.make () in
+  let module P = (val proto) in
+  let module E = Explore.Make (P) in
+  let bounds = { Explore.default_bounds with max_nodes = 120_000 } in
+  let moves = ref 0 in
+  let count_move _ _ _ _ _ _ _ _ _ =
+    incr moves;
+    false
+  in
+  let before = Gc.minor_words () in
+  let g =
+    E.explore ~on_edge:count_move ~cap:bounds.Explore.max_nodes ~stop:max_int
+      ~seeds:[ E.initial ] bounds
+  in
+  let words = Gc.minor_words () -. before in
+  let n = E.size g in
+  checkb "at least 100k configurations" true (n >= 100_000);
+  checkb "no record per move" true (words /. float_of_int !moves < 4.);
+  let found = ref true in
+  for i = 0 to n - 1 do
+    if E.find g (E.node g i) <> Some i then found := false
+  done;
+  checkb "find g (node g i) = Some i for every id" true !found;
+  (* The hash mixes all six ints, so an equality test that skipped one
+     would only show on a collision.  Tuples that differ in one int
+     alone collide with each other on every shared probe path. *)
+  let t = Explore.Table.create () in
+  let fresh = ref true in
+  for k = 0 to 5 do
+    for v = 0 to 999 do
+      let x j = if j = k then v else 1_000_000 in
+      let expected = Explore.Table.length t in
+      if Explore.Table.add t (x 0) (x 1) (x 2) (x 3) (x 4) (x 5) <> expected then fresh := false
+    done
+  done;
+  for k = 0 to 5 do
+    for v = 0 to 999 do
+      let x j = if j = k then v else 1_000_000 in
+      if Explore.Table.find t (x 0) (x 1) (x 2) (x 3) (x 4) (x 5) <> (k * 1000) + v then
+        fresh := false
+    done
+  done;
+  checkb "tuples one int apart get their own ids" true !fresh;
+  (* Seeds are visited first, in caller order, deduplicated. *)
+  let seeds = List.map (E.node g) [ 5; 0; 5; 9; 0 ] in
+  let h = E.explore ~cap:max_int ~stop:0 ~seeds bounds in
+  checkb "seeds deduplicated" true
+    (E.size h = 3 && List.for_all2 (fun i j -> E.node h i = E.node g j) [ 0; 1; 2 ] [ 5; 0; 9 ]);
+  (* At a small bound the BFS order is the tree engine's, configuration
+     by configuration. *)
+  let small = { bounds with Explore.max_nodes = 3_000 } in
+  let view (c : E.config) =
+    ( Format.asprintf "%a" P.pp_sender c.E.sender,
+      Format.asprintf "%a" P.pp_receiver c.E.receiver,
+      E.packets_tr c,
+      E.packets_rt c,
+      c.E.submitted,
+      c.E.delivered )
+  in
+  checkb "BFS order matches Reference" true
+    (List.map view (E.configs (E.reachable_set small)) = Reference.reachable_order proto small)
+
 let suite =
   [
     ("s&w violation found", `Quick, test_stop_and_wait_violation_found);
@@ -256,4 +325,5 @@ let suite =
     ("boundness semi-valid configs", `Quick, test_boundness_semi_valid_exist);
     ("counterexample cross-validated", `Quick, test_mcheck_counterexample_replays_in_props);
     ("channel ids agree with Pvec", `Quick, test_channel_interning_agrees_with_pvec);
+    ("visited table through doublings", `Quick, test_visited_table_through_doublings);
   ]
