@@ -40,13 +40,14 @@ smoke: build
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 
-# Machine-readable bench trajectory: bechamel OLS estimates for the
-# engine ablation (hashed vs tree reference on every registry protocol)
-# plus the end-to-end lint wall-clock at the old and new node budgets.
-# Set NFC_BENCH_FULL=1 to include the substrate suite.
+# Bechamel OLS estimates for the engine ablation (hashed vs tree
+# reference on every registry protocol) as JSON, in an untracked
+# bench.json; the committed BENCH_*.json files are history.  Set
+# NFC_BENCH_FULL=1 to include the substrate suite.  End-to-end timings
+# come from perfbench/run.py.
 bench-json: build
-	dune exec bench/main.exe -- --json > BENCH_10.json
-	@echo "wrote BENCH_10.json"
+	dune exec bench/main.exe -- --json > bench.json
+	@echo "wrote bench.json"
 
 clean:
 	dune clean

@@ -370,9 +370,9 @@ let boundness_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the report as a single JSON object")
   in
-  let run protocol nodes jobs por json =
+  let run protocol nodes por json =
     let report =
-      Nfc_mcheck.Boundness.measure ~jobs protocol
+      Nfc_mcheck.Boundness.measure protocol
         ~explore:
           {
             Nfc_mcheck.Explore.capacity_tr = 2;
@@ -391,8 +391,7 @@ let boundness_cmd =
   Cmd.v
     (Cmd.info "boundness"
        ~doc:"Measure a protocol's boundness against Theorem 2.1's k_t*k_r state product")
-    Term.(
-      const run $ with_spec protocol $ nodes $ jobs_arg $ por_arg $ json)
+    Term.(const run $ with_spec protocol $ nodes $ por_arg $ json)
 
 (* ------------------------------------------------------------- theorems *)
 

@@ -1,5 +1,4 @@
 module Spec = Nfc_protocol.Spec
-module Pool = Nfc_util.Pool
 
 type probe_bounds = { max_nodes : int; max_cost : int }
 
@@ -54,14 +53,14 @@ module Make (P : Spec.S) = struct
      cost.  0-1 breadth-first search; the minimum number of
      send_pkt^{t->r} actions before a delivery, if found within budget.
 
-     Probe states are the configurations of a fresh engine [F] per chunk
-     (counters 0, channels holding fresh packets only), so they live in
-     their own id space while every probe of the chunk shares [F]'s
-     interners, channel ids and transition memos, and one visited table,
-     cleared between probes.  Sharing cannot change results: each probe
-     starts from an empty table, and its channels only ever hold packets
-     the probe itself added. *)
-  let probe_chunk (pb : probe_bounds) pairs =
+     Probe states are the configurations of a fresh engine [F] per
+     [measure] (counters 0, channels holding fresh packets only), so they
+     live in their own id space while every probe shares [F]'s interners,
+     channel ids and transition memos, and one visited table, cleared
+     between probes.  Sharing cannot change results: each probe starts
+     from an empty table, and its channels only ever hold packets the
+     probe itself added. *)
+  let probe_pairs (pb : probe_bounds) pairs =
     let module F = Explore.Make (P) in
     let module Deque = Nfc_util.Deque in
     let visited = Explore.Table.create () in
@@ -140,15 +139,6 @@ module Make (P : Spec.S) = struct
     in
     go n [] xs
 
-  (* Deal [xs] round-robin into [k] chunks, so the concatenated chunk
-     results are not in input order.  Chunking is still a performance knob
-     only: each probe result travels with its configuration and is mapped
-     back by station pair, and the aggregation (max, count) is commutative,
-     so chunk boundaries never change the report. *)
-  let chunk k xs =
-    let k = max 1 (min k (List.length xs)) in
-    List.init k (fun j -> List.filteri (fun i _ -> i mod k = j) xs)
-
   (* Rank the distinct interned ids [get_id] takes over the configuration
      ids [ids] by [cmp] on what they stand for, so configurations can then
      be ordered on integer keys alone: [ranks.(id)] is the rank of [id].
@@ -175,7 +165,7 @@ module Make (P : Spec.S) = struct
     in
     go 0
 
-  let measure ?max_probes ?(jobs = 1) ?checkpoint ?reach
+  let measure ?max_probes ?checkpoint ?reach
       ~(explore : Explore.bounds) ~(probe_bounds : probe_bounds) () =
     (* A caller-supplied ungated exploration at the same bounds stands in
        for the gated pass exactly when it is phantom-free: then every
@@ -253,10 +243,8 @@ module Make (P : Spec.S) = struct
     in
     let results = Hashtbl.create (Hashtbl.length seen) in
     List.iter
-      (List.iter (fun (p, cost) -> Hashtbl.replace results p cost))
-      (Pool.map ~jobs
-         (probe_chunk probe_bounds)
-         (chunk (if jobs <= 0 then Pool.recommended () else jobs) reps));
+      (fun (p, cost) -> Hashtbl.replace results p cost)
+      (probe_pairs probe_bounds reps);
     let costs = List.map (fun c -> Hashtbl.find results (pair c)) sampled in
     let exhausted = List.length (List.filter Option.is_none costs) in
     let boundness =
@@ -277,8 +265,8 @@ module Make (P : Spec.S) = struct
     }
 end
 
-let measure ?max_probes ?jobs ?checkpoint (proto : Spec.t)
+let measure ?max_probes ?checkpoint (proto : Spec.t)
     ~(explore : Explore.bounds) ~(probe : probe_bounds) =
   let module P = (val proto) in
   let module B = Make (P) in
-  B.measure ?max_probes ?jobs ?checkpoint ?reach:None ~explore ~probe_bounds:probe ()
+  B.measure ?max_probes ?checkpoint ?reach:None ~explore ~probe_bounds:probe ()

@@ -50,8 +50,8 @@ val to_json : report -> Nfc_util.Json.t
 (** The measurement engine behind {!measure}, exposed so callers that
     already hold an exploration (the linter) can share it.  [E] is the
     engine instance the measurement runs on: instantiate [Make] once per
-    protocol per domain and use [E] for any exploration whose result is
-    passed back in. *)
+    protocol and use [E] for any exploration whose result is passed back
+    in. *)
 module Make (P : Nfc_protocol.Spec.S) : sig
   module E : module type of Explore.Make (P)
 
@@ -63,7 +63,6 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       as usual, so the report is the same either way. *)
   val measure :
     ?max_probes:int ->
-    ?jobs:int ->
     ?checkpoint:(unit -> unit) ->
     ?reach:E.reach ->
     explore:Explore.bounds ->
@@ -80,16 +79,10 @@ end
 
     Configurations sharing a station pair share one probe, whose result
     is mapped back onto each of them, so [probes_exhausted] still counts
-    configurations.  [jobs] (default 1) fans the distinct-pair probes out
-    over that many domains; each probe is self-contained, its result is
-    keyed by its pair rather than by its position in the fan-out, and the
-    aggregation (max over costs, count of exhausted configurations) is
-    order-independent, so the report is identical at any job count.
-    [checkpoint] is the cooperative cancellation hook threaded into the
-    exploration. *)
+    configurations.  [checkpoint] is the cooperative cancellation hook
+    threaded into the exploration. *)
 val measure :
   ?max_probes:int ->
-  ?jobs:int ->
   ?checkpoint:(unit -> unit) ->
   Nfc_protocol.Spec.t ->
   explore:Explore.bounds ->
