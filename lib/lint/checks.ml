@@ -131,35 +131,48 @@ module Make (P : Spec.S) = struct
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
-    let census seen alpha ch =
-      if not (Hashtbl.mem seen ch) then begin
-        Hashtbl.add seen ch ();
+    (* One byte per dense interned id, one bitmap per kind: [first marks
+       id] is true the first time [id] is seen. *)
+    let first marks id =
+      let b = !marks in
+      if id >= Bytes.length b then begin
+        let b' = Bytes.make (max (id + 1) (2 * Bytes.length b)) '\000' in
+        Bytes.blit b 0 b' 0 (Bytes.length b);
+        marks := b'
+      end;
+      Bytes.get !marks id = '\000'
+      && begin
+           Bytes.set !marks id '\001';
+           true
+         end
+    in
+    let census marks alpha ch =
+      if first marks ch then
         Nfc_mcheck.Pvec.fold
           (fun id _ () -> alpha := Iset.add (Nfc_mcheck.Pvec.Index.packet E.pkts id) !alpha)
           (E.chan ch) ()
-      end
     in
-    let tr_seen = Hashtbl.create 64 and rt_seen = Hashtbl.create 64 in
-    let sender_by_id : (int, P.sender) Hashtbl.t = Hashtbl.create 64 in
-    let receiver_by_id : (int, P.receiver) Hashtbl.t = Hashtbl.create 64 in
+    let tr_seen = ref Bytes.empty and rt_seen = ref Bytes.empty in
+    let sid_seen = ref Bytes.empty and rid_seen = ref Bytes.empty in
+    let senders = ref Sset.empty and receivers = ref Rset.empty in
     for i = 0 to E.size g - 1 do
       (* Interned-id equality is comparator equality, so deduping on the
          id visits each distinct station state — and poll-probes it —
          exactly once instead of once per configuration; likewise each
          distinct channel is decoded once. *)
       let sid = E.sid g i and rid = E.rid g i in
-      if not (Hashtbl.mem sender_by_id sid) then begin
+      if first sid_seen sid then begin
         let s = E.sender_of sid in
-        Hashtbl.add sender_by_id sid s;
+        senders := Sset.add s !senders;
         (* Poll probes catch emissions the capacity bound suppressed. *)
         match G.sender_poll s with
         | Some p, _ -> atr := Iset.add p !atr
         | None, _ -> ()
         | exception e -> record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e
       end;
-      if not (Hashtbl.mem receiver_by_id rid) then begin
+      if first rid_seen rid then begin
         let r = E.receiver_of rid in
-        Hashtbl.add receiver_by_id rid r;
+        receivers := Rset.add r !receivers;
         match G.receiver_poll r with
         | Some (Spec.Rsend p), _ -> art := Iset.add p !art
         | (Some Spec.Rdeliver | None), _ -> ()
@@ -168,12 +181,6 @@ module Make (P : Spec.S) = struct
       census tr_seen atr (E.tr g i);
       census rt_seen art (E.rt g i)
     done;
-    let senders =
-      ref (Sset.of_list (Hashtbl.fold (fun _ s acc -> s :: acc) sender_by_id []))
-    in
-    let receivers =
-      ref (Rset.of_list (Hashtbl.fold (fun _ r acc -> r :: acc) receiver_by_id []))
-    in
     let k_t = Sset.cardinal !senders in
     let k_r = Rset.cardinal !receivers in
     let product = k_t * k_r in

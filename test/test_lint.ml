@@ -117,18 +117,60 @@ let test_registry_clean () =
     (List.length results);
   checki "no errors on honest protocols" 0 (Report.n_errors results)
 
+(* The census behind a certificate, recomputed from an independent
+   reach at the same bounds: the decoded configurations' distinct station
+   states, and the packets in their channels plus each distinct station's
+   poll emission. *)
+let census proto (bounds : Nfc_mcheck.Explore.bounds) =
+  let module P = (val proto : Spec.S) in
+  let module E = Nfc_mcheck.Explore.Make (P) in
+  let module Ss = Set.Make (struct
+    type t = P.sender
+
+    let compare = P.compare_sender
+  end) in
+  let module Rs = Set.Make (struct
+    type t = P.receiver
+
+    let compare = P.compare_receiver
+  end) in
+  let module Is = Set.Make (Int) in
+  let configs = E.configs (E.reachable_set bounds) in
+  let senders = Ss.of_list (List.map (fun (c : E.config) -> c.E.sender) configs) in
+  let receivers = Rs.of_list (List.map (fun (c : E.config) -> c.E.receiver) configs) in
+  let packets chan = List.concat_map (fun c -> List.map fst (chan c)) configs in
+  let tr =
+    Ss.fold
+      (fun s acc -> match P.sender_poll s with Some p, _ -> Is.add p acc | None, _ -> acc)
+      senders
+      (Is.of_list (packets E.packets_tr))
+  in
+  let rt =
+    Rs.fold
+      (fun r acc ->
+        match P.receiver_poll r with Some (Spec.Rsend p), _ -> Is.add p acc | _ -> acc)
+      receivers
+      (Is.of_list (packets E.packets_rt))
+  in
+  (Ss.cardinal senders, Rs.cardinal receivers, Is.elements tr, Is.elements rt)
+
 let test_registry_certificates_sound () =
   (* Theorem 2.1: measured boundness never exceeds k_t * k_r on the same
      bounds.  [None] (probe budget exhausted) makes no claim. *)
-  List.iter
-    (fun (r : Engine.result) ->
-      match r.Engine.certificate.Certificate.measured_boundness with
+  List.iter2
+    (fun proto (r : Engine.result) ->
+      let c = r.Engine.certificate in
+      (match c.Certificate.measured_boundness with
       | Some b ->
-          checkb
-            (r.Engine.protocol ^ ": boundness <= state product")
-            true
-            (b <= r.Engine.certificate.Certificate.state_product)
-      | None -> ())
+          checkb (r.Engine.protocol ^ ": boundness <= state product") true
+            (b <= c.Certificate.state_product)
+      | None -> ());
+      let k_t, k_r, tr, rt = census proto Checks.default_config.Checks.bounds in
+      checki (r.Engine.protocol ^ ": k_t") k_t c.Certificate.k_t;
+      checki (r.Engine.protocol ^ ": k_r") k_r c.Certificate.k_r;
+      checkb (r.Engine.protocol ^ ": alphabet_tr") true (tr = c.Certificate.alphabet_tr);
+      checkb (r.Engine.protocol ^ ": alphabet_rt") true (rt = c.Certificate.alphabet_rt))
+    (Nfc_protocol.Registry.defaults ())
     (Lazy.force registry_results)
 
 let test_registry_header_budgets_certified () =
