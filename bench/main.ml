@@ -180,12 +180,11 @@ let bench_t21_boundness =
               (Nfc_protocol.Alternating_bit.make ~timeout:2 ())
               ~explore:
                 {
-                  Nfc_mcheck.Explore.capacity_tr = 2;
+                  Nfc_mcheck.Explore.default_bounds with
+                  capacity_tr = 2;
                   capacity_rt = 2;
                   submit_budget = 2;
                   max_nodes = 5_000;
-                  allow_drop = true;
-                  por = false;
                 }
               ~probe:Nfc_mcheck.Boundness.default_probe_bounds)))
 
@@ -196,12 +195,11 @@ let bench_t31_mcheck =
            (Nfc_mcheck.Explore.find_phantom
               (Nfc_protocol.Alternating_bit.make ~timeout:2 ())
               {
-                Nfc_mcheck.Explore.capacity_tr = 2;
+                Nfc_mcheck.Explore.default_bounds with
+                capacity_tr = 2;
                 capacity_rt = 2;
                 submit_budget = 3;
                 max_nodes = 100_000;
-                allow_drop = true;
-                por = false;
               })))
 
 let bench_t31_adversary =
@@ -239,12 +237,11 @@ let bench_t51_run =
    memo tables — exactly what one lint/boundness invocation costs). *)
 let engine_bounds =
   {
-    Nfc_mcheck.Explore.capacity_tr = 2;
+    Nfc_mcheck.Explore.default_bounds with
+    capacity_tr = 2;
     capacity_rt = 2;
     submit_budget = 3;
     max_nodes = 15_000;
-    allow_drop = true;
-    por = false;
   }
 
 let bench_engine_hashed proto =

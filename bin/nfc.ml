@@ -109,16 +109,6 @@ let jobs_arg =
            runs fully sequentially; any value produces identical output — parallelism \
            only changes wall-clock time.")
 
-let por_arg =
-  Arg.(
-    value & flag
-    & info [ "por" ]
-        ~doc:
-          "Commutativity-based partial-order reduction: defer packet drops until the \
-           channel is at capacity (drops commute with every other move over a \
-           multiset channel). Preserves phantom reachability, packet alphabets and \
-           boundness verdicts while exploring fewer configurations.")
-
 let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Smaller, faster experiment variants")
 
 (* ------------------------------------------------------------ protocols *)
@@ -240,15 +230,15 @@ let mcheck_cmd =
       & info [ "wedge" ]
           ~doc:"Search for a liveness wedge (no continuation delivers) instead of a phantom")
   in
-  let run protocol capacity submits nodes no_drop save wedge por =
+  let run protocol capacity submits nodes no_drop save wedge =
     let bounds =
       {
-        Nfc_mcheck.Explore.capacity_tr = capacity;
+        Nfc_mcheck.Explore.default_bounds with
+        capacity_tr = capacity;
         capacity_rt = capacity;
         submit_budget = submits;
         max_nodes = nodes;
         allow_drop = not no_drop;
-        por;
       }
     in
     if wedge then begin
@@ -279,7 +269,7 @@ let mcheck_cmd =
        ~doc:"Model-check a protocol over an adversarial non-FIFO channel (DL1 search)")
     Term.(
       const run $ with_spec protocol $ capacity $ submits $ nodes $ no_drop $ save
-      $ wedge $ por_arg)
+      $ wedge)
 
 (* ----------------------------------------------------------------- stab *)
 
@@ -321,12 +311,12 @@ let stab_cmd =
       {
         Nfc_stab.Converge.bounds =
           {
-            Nfc_mcheck.Explore.capacity_tr = capacity;
+            Nfc_mcheck.Explore.default_bounds with
+            capacity_tr = capacity;
             capacity_rt = capacity;
             submit_budget = submits;
             max_nodes = nodes;
             allow_drop = not no_drop;
-            por = false;
           };
         state_cap = states;
         max_starts = starts;
@@ -370,17 +360,16 @@ let boundness_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the report as a single JSON object")
   in
-  let run protocol nodes por json =
+  let run protocol nodes json =
     let report =
       Nfc_mcheck.Boundness.measure protocol
         ~explore:
           {
-            Nfc_mcheck.Explore.capacity_tr = 2;
+            Nfc_mcheck.Explore.default_bounds with
+            capacity_tr = 2;
             capacity_rt = 2;
             submit_budget = 2;
             max_nodes = nodes;
-            allow_drop = true;
-            por;
           }
         ~probe:Nfc_mcheck.Boundness.default_probe_bounds
     in
@@ -391,7 +380,7 @@ let boundness_cmd =
   Cmd.v
     (Cmd.info "boundness"
        ~doc:"Measure a protocol's boundness against Theorem 2.1's k_t*k_r state product")
-    Term.(const run $ with_spec protocol $ nodes $ por_arg $ json)
+    Term.(const run $ with_spec protocol $ nodes $ json)
 
 (* ------------------------------------------------------------- theorems *)
 
@@ -670,7 +659,7 @@ let lint_cmd =
              answer — refinement never weakens soundness.")
   in
   let run spec_path protocol capacity submits nodes strict json complete cover_nodes
-      sarif static stab refine jobs por =
+      sarif static stab refine jobs =
     let static = static || refine > 0 in
     let compiled =
       match spec_path with
@@ -698,12 +687,11 @@ let lint_cmd =
         Checks.default_config with
         Checks.bounds =
           {
-            Nfc_mcheck.Explore.capacity_tr = capacity;
+            Nfc_mcheck.Explore.default_bounds with
+            capacity_tr = capacity;
             capacity_rt = capacity;
             submit_budget = submits;
             max_nodes = nodes;
-            allow_drop = true;
-            por;
           };
         complete;
         cover_max_nodes = cover_nodes;
@@ -765,7 +753,7 @@ let lint_cmd =
         ^ "): header budgets, input-enabledness, Theorem 2.1 boundness certificates"))
     Term.(
       const run $ spec_path $ protocol $ capacity $ submits $ nodes $ strict $ json
-      $ complete $ cover_nodes $ sarif $ static $ stab $ refine $ jobs_arg $ por_arg)
+      $ complete $ cover_nodes $ sarif $ static $ stab $ refine $ jobs_arg)
 
 (* ---------------------------------------------------------------- cover *)
 

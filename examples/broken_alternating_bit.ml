@@ -40,12 +40,12 @@ let () =
   print_endline "Model checking the same protocol over a non-FIFO channel...";
   let bounds =
     {
-      Nfc_mcheck.Explore.capacity_tr = 2;
+      Nfc_mcheck.Explore.default_bounds with
+      capacity_tr = 2;
       capacity_rt = 2;
       submit_budget = 3;
       max_nodes = 200_000;
       allow_drop = false (* reordering alone is enough *);
-      por = false;
     }
   in
   match Nfc_mcheck.Explore.find_phantom protocol bounds with

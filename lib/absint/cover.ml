@@ -193,9 +193,10 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     let push_cfg parent c =
       (* Accelerate against every strictly dominated same-control
          ancestor, re-walking until no rule applies (a fresh ω can expose
-         further dominations). *)
+         further dominations).  Controls are compared field by field as
+         ints: a [key] tuple per hop would allocate and go through the
+         polymorphic compare. *)
       let tr = ref c.tr and rt = ref c.rt in
-      let k = key c in
       let changed = ref true in
       while !changed do
         changed := false;
@@ -205,7 +206,8 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
           incr hops;
           let a = !nodes.(!i) in
           if
-            key a = k
+            a.sid = c.sid && a.rid = c.rid
+            && a.submitted = c.submitted && a.delivered = c.delivered
             && Opvec.le a.tr !tr && Opvec.le a.rt !rt
             && not (Opvec.equal a.tr !tr && Opvec.equal a.rt !rt)
           then begin

@@ -16,12 +16,10 @@ type t21_row = {
 
 let t21 ?(quick = false) () =
   let explore =
+    let d = Nfc_mcheck.Explore.default_bounds in
     if quick then
-      { Nfc_mcheck.Explore.capacity_tr = 2; capacity_rt = 2; submit_budget = 2;
-        max_nodes = 10_000; allow_drop = true; por = false }
-    else
-      { Nfc_mcheck.Explore.capacity_tr = 2; capacity_rt = 2; submit_budget = 3;
-        max_nodes = 60_000; allow_drop = true; por = false }
+      { d with capacity_tr = 2; capacity_rt = 2; submit_budget = 2; max_nodes = 10_000 }
+    else { d with capacity_tr = 2; capacity_rt = 2; max_nodes = 60_000 }
   in
   let probe = Nfc_mcheck.Boundness.default_probe_bounds in
   let protocols =

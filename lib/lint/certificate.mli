@@ -55,7 +55,6 @@ type t = {
   rule_strengths : (string * strength) list;
       (** per-rule strength for the upgradable rules (H1, T1, Q1) *)
   cover : cover_summary option;  (** present when the cover tier ran *)
-  por : bool;  (** whether the exploration used lazy-drop POR *)
   refine_rounds : int option;
       (** CEGAR provenance: abstraction-refinement rounds the static tier
           ran before these strengths were assigned.  [None] when no

@@ -17,15 +17,7 @@ type config = {
 
 let default_config =
   {
-    bounds =
-      {
-        Explore.capacity_tr = 2;
-        capacity_rt = 2;
-        submit_budget = 3;
-        max_nodes = 15_000;
-        allow_drop = true;
-        por = false;
-      };
+    bounds = { Explore.default_bounds with capacity_tr = 2; capacity_rt = 2; max_nodes = 15_000 };
     (* Tighter than {!Boundness.default_probe_bounds}: flooding protocols
        make each exhausted probe pay its full node budget, and the linter
        probes a sample, so small budgets keep registry-wide runs in
@@ -146,20 +138,14 @@ module Make (P : Spec.S) = struct
            true
          end
     in
-    let census marks alpha ch =
-      if first marks ch then
-        Nfc_mcheck.Pvec.fold
-          (fun id _ () -> alpha := Iset.add (Nfc_mcheck.Pvec.Index.packet E.pkts id) !alpha)
-          (E.chan ch) ()
-    in
-    let tr_seen = ref Bytes.empty and rt_seen = ref Bytes.empty in
     let sid_seen = ref Bytes.empty and rid_seen = ref Bytes.empty in
     let senders = ref Sset.empty and receivers = ref Rset.empty in
     for i = 0 to E.size g - 1 do
       (* Interned-id equality is comparator equality, so deduping on the
          id visits each distinct station state — and poll-probes it —
-         exactly once instead of once per configuration; likewise each
-         distinct channel is decoded once. *)
+         exactly once instead of once per configuration.  Channels need
+         no census: every packet in one was emitted by the poll of a
+         reached station state, which is probed here. *)
       let sid = E.sid g i and rid = E.rid g i in
       if first sid_seen sid then begin
         let s = E.sender_of sid in
@@ -177,9 +163,7 @@ module Make (P : Spec.S) = struct
         | Some (Spec.Rsend p), _ -> art := Iset.add p !art
         | (Some Spec.Rdeliver | None), _ -> ()
         | exception e -> record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e
-      end;
-      census tr_seen atr (E.tr g i);
-      census rt_seen art (E.rt g i)
+      end
     done;
     let k_t = Sset.cardinal !senders in
     let k_r = Rset.cardinal !receivers in
@@ -447,7 +431,6 @@ module Make (P : Spec.S) = struct
         strength = (if cfg.complete then strength else bounded);
         rule_strengths = !rule_strengths;
         cover = !cover_summary;
-        por = cfg.bounds.Explore.por;
         refine_rounds = None;
         stabilization = None;
       }

@@ -14,7 +14,6 @@ type report = {
   boundness : int option;
   probes_exhausted : int;
   probes_skipped : int;
-  por : bool;
 }
 
 let pp_report ppf r =
@@ -39,7 +38,6 @@ let to_json r =
       ("boundness", J.opt (fun b -> J.Int b) r.boundness);
       ("probes_exhausted", J.Int r.probes_exhausted);
       ("probes_skipped", J.Int r.probes_skipped);
-      ("por", J.Bool r.por);
     ]
 
 module Make (P : Spec.S) = struct
@@ -297,7 +295,6 @@ module Make (P : Spec.S) = struct
       boundness;
       probes_exhausted = exhausted;
       probes_skipped = skipped;
-      por = explore.Explore.por;
     }
 end
 

@@ -39,7 +39,6 @@ type report = {
       (** semi-valid configurations not probed because [max_probes] ran
           out; when positive, [boundness] is a lower bound over the probed
           sample rather than the explored maximum *)
-  por : bool;  (** whether the exploration used lazy-drop POR *)
 }
 
 val pp_report : Format.formatter -> report -> unit

@@ -21,8 +21,8 @@ let default_bounds =
   }
 
 let bounds_key b =
-  Printf.sprintf "c%d:%d/s%d/n%d/d%b/p%b" b.capacity_tr b.capacity_rt b.submit_budget
-    b.max_nodes b.allow_drop b.por
+  Printf.sprintf "c%d:%d/s%d/n%d/d%b" b.capacity_tr b.capacity_rt b.submit_budget b.max_nodes
+    b.allow_drop
 
 type stats = {
   nodes : int;
@@ -533,17 +533,7 @@ module Make (P : Spec.S) = struct
      branches.  Channel moves are enumerated in increasing packet-value
      order (see {!Pvec.Index.nth_by_value}), so BFS visits configurations
      in exactly the order the tree-based engine did.  The loop allocates
-     nothing: steps, channel moves and labels are memo reads.
-
-     Partial-order reduction ([bounds.por]): over a multiset channel a
-     drop commutes with every other move — Drop(d,p); m and m; Drop(d,p)
-     reach the same configuration whenever both orders are enabled — and
-     deferring a drop only grows the channel, so the only configurations
-     a *lazy* dropper cannot reach are those an eager drop unlocked by
-     freeing capacity.  Generating Drop moves only when the channel is at
-     capacity therefore preserves exactly the station-state/counter
-     projections (phantom reachability, packet alphabet, boundness probe
-     verdicts); see DESIGN §5.13 for the argument and the Q1 caveat. *)
+     nothing: steps, channel moves and labels are memo reads. *)
   let iter_succ ?(deliver_valid_only = false) bounds sid rid tr rt sub del push =
     (* User submission. *)
     if sub < bounds.submit_budget then begin
@@ -578,30 +568,28 @@ module Make (P : Spec.S) = struct
            push (labels p).send_rt sid rid' tr (chan_add rt p) sub del
          end
      | None -> if rid' <> rid then push None sid rid' tr rt sub del);
-    (* Adversarial channel: deliver any in-transit packet, either direction.
-       Drops are unconditional normally, lazy (at-capacity only) under POR. *)
+    (* Adversarial channel: deliver any in-transit packet, either
+       direction, or drop it when [allow_drop] holds. *)
     let n = Pvec.Index.size pkts in
     if chan_card tr > 0 then begin
-      let drop = bounds.allow_drop && ((not bounds.por) || chan_card tr >= bounds.capacity_tr) in
       for i = 0 to n - 1 do
         let p = Pvec.Index.nth_by_value pkts i in
         let tr' = chan_remove tr p in
         if tr' >= 0 then begin
           let _, rid' = step_data_id (receiver_of rid) rid p in
           push (labels p).recv_tr sid rid' tr' rt sub del;
-          if drop then push (labels p).drop_tr sid rid tr' rt sub del
+          if bounds.allow_drop then push (labels p).drop_tr sid rid tr' rt sub del
         end
       done
     end;
     if chan_card rt > 0 then begin
-      let drop = bounds.allow_drop && ((not bounds.por) || chan_card rt >= bounds.capacity_rt) in
       for i = 0 to n - 1 do
         let p = Pvec.Index.nth_by_value pkts i in
         let rt' = chan_remove rt p in
         if rt' >= 0 then begin
           let _, sid' = step_ack_id (sender_of sid) sid p in
           push (labels p).recv_rt sid' rid tr rt' sub del;
-          if drop then push (labels p).drop_rt sid rid tr rt' sub del
+          if bounds.allow_drop then push (labels p).drop_rt sid rid tr rt' sub del
         end
       done
     end
@@ -1007,16 +995,8 @@ module Make (P : Spec.S) = struct
   (* Liveness: explore the graph fully (within budget), then propagate
      "can eventually deliver" backwards.  A semi-valid configuration not
      reached by the propagation is wedged.  Unexpanded (frontier) nodes
-     are conservatively assumed able to deliver.
-
-     Runs POR-off regardless of [bounds.por]: lazy dropping preserves
-     phantom reachability and all station-state projections, but *not*
-     the wedged-configuration analysis — a wedge reachable only through
-     an early (sub-capacity) drop would be missed, and conversely POR's
-     sparser move relation could make a configuration look wedged whose
-     escape is an early drop.  See DESIGN §5.13. *)
+     are conservatively assumed able to deliver. *)
   let find_wedge_search ?checkpoint bounds =
-    let bounds = { bounds with por = false } in
     let deliverers = ref [] in
     let on_edge _ src act _ _ _ _ _ _ =
       (match act with Some (Action.Receive_msg _) -> deliverers := src :: !deliverers | _ -> ());

@@ -46,14 +46,11 @@ type bounds = {
   max_nodes : int;  (** visited-set size limit *)
   allow_drop : bool;  (** may the channel delete packets? *)
   por : bool;
-      (** lazy-drop partial-order reduction: generate [Drop_pkt] moves
-          only when the channel is at capacity.  Drops over a multiset
-          channel commute with every other move and deferring one only
-          grows the channel, so the reduction preserves phantom
-          reachability, the packet alphabet, and every station-state
-          projection (hence boundness verdicts) — but {e not} the exact
-          configuration count, nor the wedge (Q1) analysis, which
-          {!Make.find_wedge_search} therefore runs POR-off. *)
+      (** retired: no analysis reads this field, and every exploration
+          generates drops whenever [allow_drop] holds.  It remains only
+          because the benchmark harness ([perfbench/]) names it in its
+          bounds literals; it goes in a change that may edit the
+          benchmark.  Build bounds as [{ default_bounds with ... }]. *)
 }
 
 val default_bounds : bounds
@@ -335,9 +332,9 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       last expansion.  Same [checkpoint] contract as {!reachable_set}. *)
   val search : ?stop_at_phantom:bool -> ?checkpoint:(unit -> unit) -> bounds -> outcome
 
-  (** Wedge (stuck-configuration) search.  Always POR-off (see
-      {!type:bounds}): the lazy-drop reduction does not preserve the
-      wedge analysis. *)
+  (** Wedge (stuck-configuration) search: the kernel under the
+      [stop = max_nodes] rule with predecessor edges, then a backward
+      "can eventually deliver" propagation. *)
   val find_wedge_search : ?checkpoint:(unit -> unit) -> bounds -> wedge_outcome
 
   type replay_outcome =

@@ -85,12 +85,7 @@ module Make (P : Spec.S) = struct
             push
               (Some (Action.Receive_pkt (Action.T_to_r, pkt)))
               { c with tr = tr'; receiver = P.on_data c.receiver pkt };
-            (* Same lazy-drop POR gate as {!Explore.iter_successors}: under
-               [por], drops are generated only at channel capacity. *)
-            if
-              bounds.Explore.allow_drop
-              && ((not bounds.Explore.por) || M.cardinal c.tr >= bounds.Explore.capacity_tr)
-            then push (Some (Action.Drop_pkt (Action.T_to_r, pkt))) { c with tr = tr' }
+            if bounds.Explore.allow_drop then push (Some (Action.Drop_pkt (Action.T_to_r, pkt))) { c with tr = tr' }
         | None -> ())
       (M.support c.tr);
     List.iter
@@ -100,10 +95,7 @@ module Make (P : Spec.S) = struct
             push
               (Some (Action.Receive_pkt (Action.R_to_t, pkt)))
               { c with rt = rt'; sender = P.on_ack c.sender pkt };
-            if
-              bounds.Explore.allow_drop
-              && ((not bounds.Explore.por) || M.cardinal c.rt >= bounds.Explore.capacity_rt)
-            then push (Some (Action.Drop_pkt (Action.R_to_t, pkt))) { c with rt = rt' }
+            if bounds.Explore.allow_drop then push (Some (Action.Drop_pkt (Action.R_to_t, pkt))) { c with rt = rt' }
         | None -> ())
       (M.support c.rt);
     List.rev !moves
@@ -282,11 +274,7 @@ module Make (P : Spec.S) = struct
           match M.remove_one pkt c.tr with
           | Some tr' ->
               visit { c with tr = tr'; receiver = P.on_data c.receiver pkt };
-              if
-                bounds.Explore.allow_drop
-                && ((not bounds.Explore.por)
-                   || M.cardinal c.tr >= bounds.Explore.capacity_tr)
-              then visit { c with tr = tr' }
+              if bounds.Explore.allow_drop then visit { c with tr = tr' }
           | None -> ())
         (M.support c.tr);
       List.iter
@@ -294,11 +282,7 @@ module Make (P : Spec.S) = struct
           match M.remove_one pkt c.rt with
           | Some rt' ->
               visit { c with rt = rt'; sender = P.on_ack c.sender pkt };
-              if
-                bounds.Explore.allow_drop
-                && ((not bounds.Explore.por)
-                   || M.cardinal c.rt >= bounds.Explore.capacity_rt)
-              then visit { c with rt = rt' }
+              if bounds.Explore.allow_drop then visit { c with rt = rt' }
           | None -> ())
         (M.support c.rt)
     done;
@@ -428,7 +412,6 @@ module Make (P : Spec.S) = struct
       boundness = !boundness;
       probes_exhausted = !exhausted;
       probes_skipped = !skipped;
-      por = explore.Explore.por;
     }
 end
 

@@ -53,14 +53,7 @@ module Specint = Nfc_specint.Specint
    budget is generous enough to reach the shallow pumping loops real
    specs exhibit. *)
 let default_replay_bounds =
-  {
-    Explore.capacity_tr = 2;
-    capacity_rt = 2;
-    submit_budget = 3;
-    max_nodes = 40_000;
-    allow_drop = true;
-    por = false;
-  }
+  { Explore.default_bounds with capacity_tr = 2; capacity_rt = 2; max_nodes = 40_000 }
 
 let default_rounds = 3
 

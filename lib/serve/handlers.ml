@@ -114,19 +114,17 @@ let lint ctx : Router.handler =
      let* cover_nodes =
        get_clamped ~lo:1 ~hi:2_000_000 ~default:200_000 "cover_nodes" body
      in
-     let* por = J.get_bool ~default:false "por" body in
      let* stab = J.get_bool ~default:false "stab" body in
      let cfg =
        {
          Nfc_lint.Checks.default_config with
          Nfc_lint.Checks.bounds =
            {
-             Nfc_mcheck.Explore.capacity_tr = capacity;
+             Nfc_mcheck.Explore.default_bounds with
+             capacity_tr = capacity;
              capacity_rt = capacity;
              submit_budget = submits;
              max_nodes = nodes;
-             allow_drop = true;
-             por;
            };
          complete;
          cover_max_nodes = cover_nodes;
@@ -224,15 +222,13 @@ let boundness ctx : Router.handler =
      let* nodes = get_clamped ~lo:1 ~hi:2_000_000 ~default:30_000 "nodes" body in
      let* capacity = get_clamped ~lo:1 ~hi:8 ~default:2 "capacity" body in
      let* submits = get_clamped ~lo:0 ~hi:16 ~default:2 "submits" body in
-     let* por = J.get_bool ~default:false "por" body in
      let explore =
        {
-         Nfc_mcheck.Explore.capacity_tr = capacity;
+         Nfc_mcheck.Explore.default_bounds with
+         capacity_tr = capacity;
          capacity_rt = capacity;
          submit_budget = submits;
          max_nodes = nodes;
-         allow_drop = true;
-         por;
        }
      in
      Ok

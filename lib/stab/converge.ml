@@ -14,10 +14,6 @@
     zero submission budget, so the system must re-enter L without fresh
     user input.
 
-    Every sweep runs POR-off: the lazy-drop reduction preserves verdicts
-    but not the exact configuration set, and legitimacy is membership in
-    that set.
-
     Station states and the packet alphabet are read off the BFS-ordered
     legitimate graph, so every field of {!report} — including witness
     traces and configuration prints — is a function of the protocol and
@@ -31,8 +27,8 @@ module Json = Nfc_util.Json
 
 type cfg = {
   bounds : Explore.bounds;
-      (** legitimate-set sweep bounds; [por] is forced off and
-          [submit_budget] zeroed for the recovery sweeps *)
+      (** legitimate-set sweep bounds; [submit_budget] is zeroed for
+          the recovery sweeps *)
   state_cap : int;  (** per-side clamp on station states entering products *)
   max_starts : int;  (** clamp on enumerated corrupted starts *)
   recovery_nodes : int;  (** node budget for each recovery sweep *)
@@ -42,12 +38,11 @@ let default_cfg =
   {
     bounds =
       {
-        Explore.capacity_tr = 1;
+        Explore.default_bounds with
+        capacity_tr = 1;
         capacity_rt = 1;
         submit_budget = 2;
         max_nodes = 100_000;
-        allow_drop = true;
-        por = false;
       };
     state_cap = 48;
     max_starts = 60_000;
@@ -104,12 +99,11 @@ let analyze (spec : Spec.t) cfg =
   if cfg.recovery_nodes < 1 then invalid_arg "Converge.analyze: recovery_nodes must be >= 1";
   if cfg.state_cap < 1 then invalid_arg "Converge.analyze: state_cap must be >= 1";
   if cfg.max_starts < 1 then invalid_arg "Converge.analyze: max_starts must be >= 1";
-  let lbounds = { cfg.bounds with Explore.por = false } in
   let rbounds =
-    { lbounds with Explore.submit_budget = 0; max_nodes = cfg.recovery_nodes }
+    { cfg.bounds with Explore.submit_budget = 0; max_nodes = cfg.recovery_nodes }
   in
   (* 1. The legitimate set. *)
-  let lreach = E.reachable_set lbounds in
+  let lreach = E.reachable_set cfg.bounds in
   let lg = lreach.E.graph in
   let n_legit = E.size lg in
   let legit_closed = not lreach.E.truncated in
@@ -176,8 +170,8 @@ let analyze (spec : Spec.t) cfg =
     go 0 Pvec.empty 0;
     List.rev !out
   in
-  let msets_tr = multisets lbounds.Explore.capacity_tr in
-  let msets_rt = multisets lbounds.Explore.capacity_rt in
+  let msets_tr = multisets cfg.bounds.Explore.capacity_tr in
+  let msets_rt = multisets cfg.bounds.Explore.capacity_rt in
   let starts_enumerated =
     List.length senders * List.length receivers * List.length msets_tr * List.length msets_rt
   in
@@ -301,7 +295,7 @@ let analyze (spec : Spec.t) cfg =
             Printf.sprintf
               "legitimate set did not close within %d nodes (station state grows without \
                bound); %d of %d corrupted starts diverge from the explored set%s"
-              lbounds.Explore.max_nodes cv.divergent cv.seeds_analyzed
+              cfg.bounds.Explore.max_nodes cv.divergent cv.seeds_analyzed
               (if cv.divergent_stuck then ", the first of them with no recovery move at all"
                else "") )
         else if cv.divergent > 0 && not cv.sweep_truncated then
@@ -403,10 +397,10 @@ let analyze (spec : Spec.t) cfg =
   in
   {
     protocol = P.name;
-    capacity_tr = lbounds.Explore.capacity_tr;
-    capacity_rt = lbounds.Explore.capacity_rt;
-    submit_budget = lbounds.Explore.submit_budget;
-    legit_budget = lbounds.Explore.max_nodes;
+    capacity_tr = cfg.bounds.Explore.capacity_tr;
+    capacity_rt = cfg.bounds.Explore.capacity_rt;
+    submit_budget = cfg.bounds.Explore.submit_budget;
+    legit_budget = cfg.bounds.Explore.max_nodes;
     recovery_budget = cfg.recovery_nodes;
     legit_configs = n_legit;
     legit_closed;

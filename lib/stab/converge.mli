@@ -20,8 +20,8 @@
 
 type cfg = {
   bounds : Nfc_mcheck.Explore.bounds;
-      (** legitimate-set sweep bounds; [por] is forced off and
-          [submit_budget] zeroed for the recovery sweeps *)
+      (** legitimate-set sweep bounds; [submit_budget] is zeroed for
+          the recovery sweeps *)
   state_cap : int;  (** per-side clamp on station states entering products *)
   max_starts : int;  (** clamp on enumerated corrupted starts *)
   recovery_nodes : int;  (** node budget for each recovery sweep *)

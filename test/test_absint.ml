@@ -93,12 +93,11 @@ let test_omega_order () =
 
 let bounds =
   {
-    Explore.capacity_tr = 2;
+    Explore.default_bounds with
+    capacity_tr = 2;
     capacity_rt = 2;
     submit_budget = 3;
     max_nodes = 15_000;
-    allow_drop = true;
-    por = false;
   }
 
 let cover_of proto =

@@ -1,9 +1,9 @@
 (* Differential tests for the hashed state-space engine against the
    retained tree-based reference ({!Nfc_mcheck.Reference}), the
    determinism guarantees of the [--jobs] paths (same lint output and
-   same fuzz findings at every job count), POR preservation, the
-   [from_configs] seed contract, the wedge search's statistics and a pin
-   of the stabilization analysis built on the same kernel. *)
+   same fuzz findings at every job count), the [from_configs] seed
+   contract, the wedge search's statistics and a pin of the
+   stabilization analysis built on the same kernel. *)
 open Nfc_mcheck
 
 let checkb = Alcotest.(check bool)
@@ -19,26 +19,35 @@ let name_of proto =
    for the flooding one — both regimes must agree. *)
 let bounds =
   {
-    Explore.capacity_tr = 2;
+    Explore.default_bounds with
+    capacity_tr = 2;
     capacity_rt = 2;
     submit_budget = 3;
     max_nodes = 8_000;
-    allow_drop = true;
-    por = false;
   }
 
 let probe = { Boundness.max_nodes = 1_000; max_cost = 100 }
+
+(* Flood at capacity 4, where drops are densest: its 11,104
+   configurations fit a 20k budget, so the whole space is compared. *)
+let flood_cap4 =
+  { bounds with Explore.capacity_tr = 4; capacity_rt = 4; max_nodes = 20_000 }
+
+(* Every registry protocol at [bounds], plus flood at [flood_cap4]. *)
+let differential_inputs () =
+  List.map (fun p -> (p, bounds)) (registry ()) @ [ (Nfc_protocol.Flood.make (), flood_cap4) ]
 
 (* ------------------------------------------------ reach differential *)
 
 let test_reach_stats_agree () =
   List.iter
-    (fun proto ->
+    (fun (proto, bounds) ->
       let module P = (val proto : Nfc_protocol.Spec.S) in
       let module E = Explore.Make (P) in
       let r = E.reachable_set bounds in
       let ref_stats, ref_truncated = Reference.reachable_set_stats proto bounds in
-      let n = P.name in
+      let n = P.name ^ " @ " ^ Explore.bounds_key bounds in
+      if bounds == flood_cap4 then checkb (n ^ " explored whole") false r.E.truncated;
       checki (n ^ " nodes") ref_stats.Explore.nodes r.E.reach_stats.Explore.nodes;
       checki (n ^ " k_t") ref_stats.Explore.sender_states
         r.E.reach_stats.Explore.sender_states;
@@ -49,7 +58,7 @@ let test_reach_stats_agree () =
       checkb (n ^ " truncated") ref_truncated r.E.truncated;
       checki (n ^ " |configs| = nodes") r.E.reach_stats.Explore.nodes
         (List.length (E.configs r)))
-    (registry ())
+    (differential_inputs ())
 
 (* ---------------------------------------------- verdict differential *)
 
@@ -60,13 +69,13 @@ let verdict = function
 
 let test_phantom_verdicts_agree () =
   List.iter
-    (fun proto ->
+    (fun (proto, bounds) ->
       let got = verdict (Explore.find_phantom proto bounds) in
       let want = verdict (Reference.find_phantom proto bounds) in
       checkb
-        (name_of proto ^ " verdict (incl. trace length)")
+        (name_of proto ^ " @ " ^ Explore.bounds_key bounds ^ " verdict (incl. trace length)")
         true (got = want))
-    (registry ())
+    (differential_inputs ())
 
 (* The reach sweep's phantom scan must reproduce [search]'s trichotomy:
    the linter's T1 rule is derived from it instead of a second pass. *)
@@ -191,26 +200,6 @@ let test_fuzz_batches_job_independent () =
             && g.Nfc_fuzz.Campaign.schedule = f.Nfc_fuzz.Campaign.schedule
         | None -> false)
 
-(* ------------------------------------------ example specs (PDL path) *)
-
-let example_specs () =
-  let find file =
-    (* `dune runtest` runs from _build/default/test (specs one level up);
-       `dune exec` runs from the project root.  Accept either. *)
-    let candidates = [ "../examples/specs/" ^ file; "examples/specs/" ^ file ] in
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> p
-    | None -> Alcotest.fail ("cannot locate example spec " ^ file)
-  in
-  List.map
-    (fun f ->
-      match Nfc_pdl.Pdl.load_file (find f) with
-      | Ok c -> c.Nfc_pdl.Pdl.spec
-      | Error m -> Alcotest.fail m)
-    [ "stop_and_wait.nfc"; "alternating_bit.nfc"; "bounded_counter.nfc" ]
-
-let all_protocols () = registry () @ example_specs ()
-
 (* ------------------------------------------ from_configs seed contract *)
 
 (* [from_configs] is the corrupted-start entry point of the stab tier:
@@ -256,7 +245,7 @@ let test_from_configs_seed_contract () =
 (* ------------------------------------------------- wedge statistics *)
 
 (* [find_wedge] runs the same kernel under the same dequeue-stop budget
-   rule as [reachable] (POR-off), so its statistics are the reach's,
+   rule as [reachable], so its statistics are the reach's,
    field for field, even when the budget truncates the search. *)
 let test_wedge_stats_match_reach () =
   let b = { bounds with Explore.max_nodes = 2_000 } in
@@ -297,113 +286,6 @@ let test_converge_stab_arq_pin () =
     ]
     (match r.C.ss1_convergence with Some cv -> cv.C.witness | None -> [])
 
-(* ----------------------------------------------- POR preservation -----
-
-   Lazy-drop POR may only SHRINK the explored set; on un-truncated
-   explorations it must preserve exactly what the verdicts are built
-   from: phantom existence, station-state projections (k_t, k_r) and the
-   packet alphabet.  (Node counts and depths legitimately differ — that
-   is the reduction.) *)
-
-let alphabet (type c) (packets : c -> (int * int) list) configs =
-  List.sort_uniq compare (List.concat_map (fun c -> List.map fst (packets c)) configs)
-
-(* Flood at capacity 4, where the sub-capacity drop closure is thickest:
-   its 11,104 configurations fit a 20k budget under both settings. *)
-let flood_cap4 =
-  { bounds with Explore.capacity_tr = 4; capacity_rt = 4; max_nodes = 20_000 }
-
-let test_por_preserves_projections () =
-  let comparable = ref [] in
-  List.iter
-    (fun (proto, b) ->
-      let module P = (val proto : Nfc_protocol.Spec.S) in
-      let module E = Explore.Make (P) in
-      let full = E.reachable_set { b with Explore.por = false } in
-      let red = E.reachable_set { b with Explore.por = true } in
-      let n = P.name in
-      if not (full.E.truncated || red.E.truncated) then begin
-        comparable := b :: !comparable;
-        checkb (n ^ " por explores no more") true
-          (red.E.reach_stats.Explore.nodes <= full.E.reach_stats.Explore.nodes);
-        checki (n ^ " k_t preserved") full.E.reach_stats.Explore.sender_states
-          red.E.reach_stats.Explore.sender_states;
-        checki (n ^ " k_r preserved") full.E.reach_stats.Explore.receiver_states
-          red.E.reach_stats.Explore.receiver_states;
-        checkb (n ^ " phantom existence preserved") true
-          ((full.E.first_phantom = None) = (red.E.first_phantom = None));
-        checkb (n ^ " t->r alphabet preserved") true
-          (alphabet E.packets_tr (E.configs full) = alphabet E.packets_tr (E.configs red));
-        checkb (n ^ " r->t alphabet preserved") true
-          (alphabet E.packets_rt (E.configs full) = alphabet E.packets_rt (E.configs red))
-      end)
-    (List.map (fun p -> (p, bounds)) (all_protocols ())
-    @ [ (Nfc_protocol.Flood.make (), flood_cap4) ]);
-  (* Most registry spaces exceed any practical budget at these bounds;
-     the preservation claims are only testable on the ones that finish.
-     Guard against the assertions above silently never firing. *)
-  checkb "at least one protocol comparable" true (List.mem bounds !comparable);
-  checkb "flood comparable at capacity 4" true (List.mem flood_cap4 !comparable)
-
-(* POR under the hashed engine vs POR under the tree-based reference:
-   the reduced graphs themselves must agree, not just their projections. *)
-let test_por_reach_agrees_with_reference () =
-  let b = { bounds with Explore.por = true } in
-  List.iter
-    (fun proto ->
-      let module P = (val proto : Nfc_protocol.Spec.S) in
-      let module E = Explore.Make (P) in
-      let r = E.reachable_set b in
-      let ref_stats, ref_truncated = Reference.reachable_set_stats proto b in
-      let n = P.name ^ " (por)" in
-      checki (n ^ " nodes") ref_stats.Explore.nodes r.E.reach_stats.Explore.nodes;
-      checki (n ^ " k_t") ref_stats.Explore.sender_states
-        r.E.reach_stats.Explore.sender_states;
-      checki (n ^ " k_r") ref_stats.Explore.receiver_states
-        r.E.reach_stats.Explore.receiver_states;
-      checki (n ^ " max_depth") ref_stats.Explore.max_depth
-        r.E.reach_stats.Explore.max_depth;
-      checkb (n ^ " truncated") ref_truncated r.E.truncated;
-      let got = verdict (Explore.find_phantom proto b) in
-      let want = verdict (Reference.find_phantom proto b) in
-      checkb (n ^ " phantom verdict") true (got = want))
-    (registry ())
-
-(* Boundness is computed from semi-valid configurations POR also visits:
-   with an unlimited probe sample the measured value must not move. *)
-let test_por_preserves_boundness () =
-  let comparable = ref 0 in
-  List.iter
-    (fun proto ->
-      let module P = (val proto : Nfc_protocol.Spec.S) in
-      let module B = Boundness.Make (P) in
-      let full_reach = B.E.reachable_set { bounds with Explore.por = false } in
-      let red_reach = B.E.reachable_set { bounds with Explore.por = true } in
-      let full =
-        B.measure ~max_probes:max_int ~reach:full_reach
-          ~explore:{ bounds with Explore.por = false }
-          ~probe_bounds:probe ()
-      in
-      let red =
-        B.measure ~max_probes:max_int ~reach:red_reach
-          ~explore:{ bounds with Explore.por = true }
-          ~probe_bounds:probe ()
-      in
-      if (not full_reach.B.E.truncated) && not red_reach.B.E.truncated then begin
-        incr comparable;
-        checki (P.name ^ " k_t") full.Boundness.k_t red.Boundness.k_t;
-        checki (P.name ^ " k_r") full.Boundness.k_r red.Boundness.k_r;
-        (* The measured value itself is only claim-preserving when no
-           probe ran out of budget (an exhausted probe reports [None]
-           from wherever it happened to stand). *)
-        if full.Boundness.probes_exhausted = 0 && red.Boundness.probes_exhausted = 0
-        then
-          checkb (P.name ^ " boundness preserved") true
-            (full.Boundness.boundness = red.Boundness.boundness)
-      end)
-    (registry ());
-  checkb "at least one protocol comparable" true (!comparable >= 1)
-
 let suite =
   [
     ("reach stats agree with tree reference", `Quick, test_reach_stats_agree);
@@ -415,8 +297,5 @@ let suite =
     ("fuzz batches independent of job count", `Quick, test_fuzz_batches_job_independent);
     ("from_configs seed contract", `Quick, test_from_configs_seed_contract);
     ("stab-arq cap 1 converges (SS1/SS2 pin)", `Quick, test_converge_stab_arq_pin);
-    ("por preserves projections and phantoms", `Quick, test_por_preserves_projections);
-    ("por reach agrees with tree reference", `Quick, test_por_reach_agrees_with_reference);
-    ("por preserves measured boundness", `Quick, test_por_preserves_boundness);
     ("wedge stats match reach stats", `Quick, test_wedge_stats_match_reach);
   ]

@@ -5,12 +5,11 @@ let checkb = Alcotest.(check bool)
 
 let small_bounds =
   {
-    Explore.capacity_tr = 2;
+    Explore.default_bounds with
+    capacity_tr = 2;
     capacity_rt = 2;
     submit_budget = 3;
     max_nodes = 300_000;
-    allow_drop = true;
-    por = false;
   }
 
 let test_stop_and_wait_violation_found () =
@@ -154,12 +153,11 @@ let test_boundness_within_theorem_bound () =
         Boundness.measure proto
           ~explore:
             {
-              Explore.capacity_tr = 2;
+              Explore.default_bounds with
+              capacity_tr = 2;
               capacity_rt = 2;
               submit_budget = 2;
               max_nodes = 20_000;
-              allow_drop = true;
-              por = false;
             }
           ~probe:Boundness.default_probe_bounds
       in
@@ -179,12 +177,11 @@ let test_boundness_semi_valid_exist () =
     Boundness.measure (Nfc_protocol.Alternating_bit.make ~timeout:2 ())
       ~explore:
         {
-          Explore.capacity_tr = 2;
+          Explore.default_bounds with
+          capacity_tr = 2;
           capacity_rt = 2;
           submit_budget = 2;
           max_nodes = 20_000;
-          allow_drop = true;
-          por = false;
         }
       ~probe:Boundness.default_probe_bounds
   in

@@ -240,12 +240,12 @@ let test_conformance_accepts_mcheck_counterexample () =
     Nfc_mcheck.Explore.find_phantom
       (Nfc_protocol.Alternating_bit.make ~timeout:2 ())
       {
-        Nfc_mcheck.Explore.capacity_tr = 2;
+        Nfc_mcheck.Explore.default_bounds with
+        capacity_tr = 2;
         capacity_rt = 2;
         submit_budget = 3;
         max_nodes = 200_000;
         allow_drop = false;
-        por = false;
       }
   with
   | Nfc_mcheck.Explore.Violation trace -> (

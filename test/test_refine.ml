@@ -285,12 +285,11 @@ let prop_itv_arith_sound =
    conservative, never unsound. *)
 let small_replay =
   {
-    Nfc_mcheck.Explore.capacity_tr = 2;
+    Nfc_mcheck.Explore.default_bounds with
+    capacity_tr = 2;
     capacity_rt = 2;
     submit_budget = 2;
     max_nodes = 2_000;
-    allow_drop = true;
-    por = false;
   }
 
 (* Every report the refinement loop ever accepted — the base run and each

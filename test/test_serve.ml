@@ -222,12 +222,11 @@ let test_e2e_lint_byte_identity () =
           Nfc_lint.Checks.default_config with
           Nfc_lint.Checks.bounds =
             {
-              Nfc_mcheck.Explore.capacity_tr = 2;
+              Nfc_mcheck.Explore.default_bounds with
+              capacity_tr = 2;
               capacity_rt = 2;
               submit_budget = 3;
               max_nodes = 20000;
-              allow_drop = true;
-              por = false;
             };
         }
       in
@@ -430,12 +429,11 @@ let lint_cfg_20k =
     Nfc_lint.Checks.default_config with
     Nfc_lint.Checks.bounds =
       {
-        Nfc_mcheck.Explore.capacity_tr = 2;
+        Nfc_mcheck.Explore.default_bounds with
+        capacity_tr = 2;
         capacity_rt = 2;
         submit_budget = 3;
         max_nodes = 20000;
-        allow_drop = true;
-        por = false;
       };
   }
 

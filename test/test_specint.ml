@@ -210,12 +210,11 @@ let lint_cfg_15k =
     Lint.Checks.default_config with
     Lint.Checks.bounds =
       {
-        Nfc_mcheck.Explore.capacity_tr = 2;
+        Nfc_mcheck.Explore.default_bounds with
+        capacity_tr = 2;
         capacity_rt = 2;
         submit_budget = 3;
         max_nodes = 15_000;
-        allow_drop = true;
-        por = false;
       };
   }
 
