@@ -123,22 +123,7 @@ module Make (P : Spec.S) = struct
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
-    (* One byte per dense interned id, one bitmap per kind: [first marks
-       id] is true the first time [id] is seen. *)
-    let first marks id =
-      let b = !marks in
-      if id >= Bytes.length b then begin
-        let b' = Bytes.make (max (id + 1) (2 * Bytes.length b)) '\000' in
-        Bytes.blit b 0 b' 0 (Bytes.length b);
-        marks := b'
-      end;
-      Bytes.get !marks id = '\000'
-      && begin
-           Bytes.set !marks id '\001';
-           true
-         end
-    in
-    let sid_seen = ref Bytes.empty and rid_seen = ref Bytes.empty in
+    let sid_seen = Explore.Seen.create () and rid_seen = Explore.Seen.create () in
     let senders = ref Sset.empty and receivers = ref Rset.empty in
     for i = 0 to E.size g - 1 do
       (* Interned-id equality is comparator equality, so deduping on the
@@ -147,7 +132,7 @@ module Make (P : Spec.S) = struct
          no census: every packet in one was emitted by the poll of a
          reached station state, which is probed here. *)
       let sid = E.sid g i and rid = E.rid g i in
-      if first sid_seen sid then begin
+      if Explore.Seen.first sid_seen sid then begin
         let s = E.sender_of sid in
         senders := Sset.add s !senders;
         (* Poll probes catch emissions the capacity bound suppressed. *)
@@ -156,7 +141,7 @@ module Make (P : Spec.S) = struct
         | None, _ -> ()
         | exception e -> record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e
       end;
-      if first rid_seen rid then begin
+      if Explore.Seen.first rid_seen rid then begin
         let r = E.receiver_of rid in
         receivers := Rset.add r !receivers;
         match G.receiver_poll r with

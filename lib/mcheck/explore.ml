@@ -74,11 +74,19 @@ let intern_hashed (type a) (hash : a -> int) (equal : a -> a -> bool) : a -> int
 
 (* The visited set of every exploration: configurations stored as their
    six ints under dense ids in insertion order, indexed by an
-   open-addressed table of those ids.  Ids live in an [int array] with
-   linear probing; a probe compares the six stored ints, never a boxed
-   record.  The table starts at 64 slots and doubles when more than half
-   full, rehashing ints only, so an exploration pays for the
-   configurations it holds, not for its node budget.
+   open-addressed [int array] with linear probing.  The table starts at
+   64 slots and doubles when more than half full, rehashing ints only,
+   so an exploration pays for the configurations it holds, not for its
+   node budget.
+
+   A slot word is [(tag lsl 32) lor id], or [-1] when empty.  The id
+   fills the low 32 bits; the tag is the hash's bits 33-62, which no
+   slot index uses (an index is at most 33 bits, as ids stop at 2^32).
+   A probe reads a stored configuration only where a slot's tag equals
+   its own, so slots of other configurations on its path cost one word
+   each, not a cache-missing read of a chunk.  A tag match still
+   compares all six ints: distinct configurations can share a tag, so
+   the tag only ever rules a slot out.
 
    The ints sit in chunks of 16 configurations (96 words): blocks that
    small come from the GC's size-classed pools, which the next
@@ -89,11 +97,13 @@ module Table = struct
   let mask = (1 lsl bits) - 1
   let width = 6
   let min_slots = 64
+  let id_bits = 32
+  let id_mask = (1 lsl id_bits) - 1
 
   type t = {
     mutable chunks : int array array;
     mutable count : int;
-    mutable slots : int array;  (* ids, [-1] when empty; a power of two long *)
+    mutable slots : int array;  (* tagged ids, [-1] when empty; a power of two long *)
   }
 
   let create () = { chunks = [||]; count = 0; slots = Array.make min_slots (-1) }
@@ -110,34 +120,38 @@ module Table = struct
     let h = h * 0x2545F4914F6CDD1D in
     h lxor (h lsr 29)
 
+  (* 30 bits; an empty slot's [-1 lsr id_bits] is 31 ones, never a tag. *)
+  let tag_of h = h lsr (id_bits + 1)
   let get t id k = t.chunks.(id lsr bits).(((id land mask) * width) + k)
 
-  (* The id stored equal to [(a, .., f)], or [lnot] of the empty slot
-     where it would go. *)
-  let probe t a b c d e f =
+  (* The id stored equal to [(a, .., f)], whose hash is [h], or [lnot]
+     of the empty slot where it would go. *)
+  let probe t h a b c d e f =
+    let tag = tag_of h in
     let slots = t.slots in
     let m = Array.length slots - 1 in
-    let i = ref (hash a b c d e f land m) and r = ref min_int in
+    let i = ref (h land m) and r = ref min_int in
     while !r = min_int do
-      let id = slots.(!i) in
-      if id < 0 then r := lnot !i
-      else begin
+      let w = slots.(!i) in
+      if
+        w lsr id_bits = tag
+        &&
+        let id = w land id_mask in
         let ch = t.chunks.(id lsr bits) and o = (id land mask) * width in
-        if
-          ch.(o) = a
-          && ch.(o + 1) = b
-          && ch.(o + 2) = c
-          && ch.(o + 3) = d
-          && ch.(o + 4) = e
-          && ch.(o + 5) = f
-        then r := id
-        else i := (!i + 1) land m
-      end
+        ch.(o) = a
+        && ch.(o + 1) = b
+        && ch.(o + 2) = c
+        && ch.(o + 3) = d
+        && ch.(o + 4) = e
+        && ch.(o + 5) = f
+      then r := w land id_mask
+      else if w < 0 then r := lnot !i
+      else i := (!i + 1) land m
     done;
     !r
 
   let find t a b c d e f =
-    let r = probe t a b c d e f in
+    let r = probe t (hash a b c d e f) a b c d e f in
     if r >= 0 then r else -1
 
   let rehash t =
@@ -145,20 +159,22 @@ module Table = struct
     let slots = Array.make len (-1) and m = len - 1 in
     for id = 0 to t.count - 1 do
       let ch = t.chunks.(id lsr bits) and o = (id land mask) * width in
-      let i =
-        ref (hash ch.(o) ch.(o + 1) ch.(o + 2) ch.(o + 3) ch.(o + 4) ch.(o + 5) land m)
-      in
+      let h = hash ch.(o) ch.(o + 1) ch.(o + 2) ch.(o + 3) ch.(o + 4) ch.(o + 5) in
+      let i = ref (h land m) in
       while slots.(!i) >= 0 do
         i := (!i + 1) land m
       done;
-      slots.(!i) <- id
+      slots.(!i) <- (tag_of h lsl id_bits) lor id
     done;
     t.slots <- slots
 
-  (* Store [(a, .., f)] under the next id in [slot], which {!probe} found
-     empty; chunks a {!clear} left behind are written over. *)
-  let insert t slot a b c d e f =
+  (* Store [(a, .., f)], whose hash is [h], under the next id in [slot],
+     which {!probe} found empty; chunks a {!clear} left behind are
+     written over. *)
+  let insert t slot h a b c d e f =
     let id = t.count in
+    if id > id_mask then
+      invalid_arg "Explore.Table.insert: 2^32 configurations, the most a slot word can index";
     let ci = id lsr bits in
     if ci = Array.length t.chunks then begin
       let cs = Array.make (max 8 (2 * ci)) [||] in
@@ -174,19 +190,40 @@ module Table = struct
     ch.(o + 4) <- e;
     ch.(o + 5) <- f;
     t.count <- id + 1;
-    t.slots.(slot) <- id;
+    t.slots.(slot) <- (tag_of h lsl id_bits) lor id;
     if 2 * t.count > Array.length t.slots then rehash t;
     id
 
   let add t a b c d e f =
-    let r = probe t a b c d e f in
-    if r >= 0 then r else insert t (lnot r) a b c d e f
+    let h = hash a b c d e f in
+    let r = probe t h a b c d e f in
+    if r >= 0 then r else insert t (lnot r) h a b c d e f
 
   (* Empty the table for reuse, back at its starting size. *)
   let clear t =
     t.count <- 0;
     if Array.length t.slots > min_slots then t.slots <- Array.make min_slots (-1)
     else Array.fill t.slots 0 min_slots (-1)
+end
+
+(* Marks over dense ids, a byte each, grown by doubling: the id spaces
+   here are small and dense, so a byte map beats a hash set. *)
+module Seen = struct
+  type t = { mutable marks : Bytes.t }
+
+  let create () = { marks = Bytes.make 64 '\000' }
+
+  let first t id =
+    if id >= Bytes.length t.marks then begin
+      let b = Bytes.make (max (id + 1) (2 * Bytes.length t.marks)) '\000' in
+      Bytes.blit t.marks 0 b 0 (Bytes.length t.marks);
+      t.marks <- b
+    end;
+    Bytes.unsafe_get t.marks id = '\000'
+    && begin
+         Bytes.unsafe_set t.marks id '\001';
+         true
+       end
 end
 
 module Make (P : Spec.S) = struct
@@ -716,7 +753,8 @@ module Make (P : Spec.S) = struct
   (* [sid .. del] reached from [src] ([-1] for a seed): an edge is
      recorded whether or not it is new. *)
   let visit g ~cap src act depth sid rid tr rt sub del =
-    let r = Table.probe g.visited sid rid tr rt sub del in
+    let h = Table.hash sid rid tr rt sub del in
+    let r = Table.probe g.visited h sid rid tr rt sub del in
     if r >= 0 then begin
       if g.keep_preds && src >= 0 then Ivec.push g.edges r
     end
@@ -724,7 +762,7 @@ module Make (P : Spec.S) = struct
     else begin
       let id = Table.length g.visited in
       if id = Array.length g.acts then grow g;
-      ignore (Table.insert g.visited (lnot r) sid rid tr rt sub del);
+      ignore (Table.insert g.visited (lnot r) h sid rid tr rt sub del);
       g.acts.(id) <- (if src < 0 then 0 else g.acts.(src) + Bool.to_int (Option.is_some act));
       if g.keep_parents then begin
         g.parent.(id) <- src;

@@ -100,10 +100,17 @@ val find_wedge : Nfc_protocol.Spec.t -> bounds -> wedge_outcome
 
 (** The visited set: configurations as six ints (sid, rid, tr, rt,
     submitted, delivered) under dense ids in insertion order, indexed by
-    an open-addressed [int array] of ids with linear probing.  It starts
-    at 64 slots and doubles when more than half full, so it costs what
-    it holds, not a node budget.  Shared by the kernel, the boundness
-    probes and the stab tier's legitimacy test. *)
+    an open-addressed [int array] with linear probing.  It starts at 64
+    slots and doubles when more than half full, so it costs what it
+    holds, not a node budget.  Shared by the kernel, the boundness
+    probes and the stab tier's legitimacy test.
+
+    A slot word is [(tag lsl 32) lor id], or [-1] when empty: the id in
+    the low 32 bits, and above them a 30-bit tag taken from hash bits
+    that no slot index uses.  A lookup reads a stored configuration only
+    at a slot whose tag equals its own, and there compares all six ints,
+    since distinct configurations can share a tag.  Ids therefore stop
+    below [2^32]. *)
 module Table : sig
   type t
 
@@ -113,7 +120,9 @@ module Table : sig
   val length : t -> int
 
   (** [add t sid rid tr rt submitted delivered]: the id of that
-      configuration, storing it under the next id if it is new. *)
+      configuration, storing it under the next id if it is new.
+      @raise Invalid_argument if a new configuration would need id
+      [2^32], past the 32 id bits of a slot word. *)
   val add : t -> int -> int -> int -> int -> int -> int -> int
 
   (** The id of that configuration, or [-1] when it is not stored. *)
@@ -121,6 +130,17 @@ module Table : sig
 
   (** Empty the table for reuse, back at its starting size. *)
   val clear : t -> unit
+end
+
+(** Marks over dense ids (interned station states, channel ids), a
+    byte each, grown on demand. *)
+module Seen : sig
+  type t
+
+  val create : unit -> t
+
+  (** [first t id] marks [id] and is [true] the first time only. *)
+  val first : t -> int -> bool
 end
 
 (** The per-protocol exploration engine: typed configurations, the

@@ -118,12 +118,11 @@ let analyze (spec : Spec.t) cfg =
      deterministic BFS order of the legitimate graph) and the observed
      channel alphabet (value order). *)
   let collect_states id_of state_of =
-    let seen = Hashtbl.create 64 in
+    let seen = Explore.Seen.create () in
     let out = ref [] and total = ref 0 in
     for i = 0 to n_legit - 1 do
       let id = id_of lg i in
-      if not (Hashtbl.mem seen id) then begin
-        Hashtbl.replace seen id ();
+      if Explore.Seen.first seen id then begin
         incr total;
         if !total <= cfg.state_cap then out := (state_of id, id) :: !out
       end
@@ -136,13 +135,11 @@ let analyze (spec : Spec.t) cfg =
   let alphabet =
     (* Decode each distinct channel id once, not each configuration. *)
     let module Iset = Set.Make (Int) in
-    let seen = Hashtbl.create 64 in
+    let seen = Explore.Seen.create () in
     let add_channel ch acc =
-      if Hashtbl.mem seen ch then acc
-      else begin
-        Hashtbl.add seen ch ();
+      if Explore.Seen.first seen ch then
         Pvec.fold (fun id _ acc -> Iset.add (Pvec.Index.packet E.pkts id) acc) (E.chan ch) acc
-      end
+      else acc
     in
     let acc = ref Iset.empty in
     for i = 0 to n_legit - 1 do

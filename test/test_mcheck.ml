@@ -287,6 +287,39 @@ let test_visited_table_through_doublings () =
     done
   done;
   checkb "tuples one int apart get their own ids" true !fresh;
+  (* A slot word packs a hash tag above the id, so ints of any sign and
+     size must hash, tag and compare right.  Tuple [i] holds [value (i /
+     6)] in int [i mod 6] and [min_int] elsewhere: all distinct, with
+     values near zero, [max_int] and [min_int].  2^18 + 6 tuples take
+     the table past 2^19 slots; every tuple so far is looked up again
+     after each doubling. *)
+  let value n =
+    match n mod 4 with 0 -> n | 1 -> -n | 2 -> max_int - n | _ -> min_int + 1 + n
+  in
+  let x i j = if j = i mod 6 then value (i / 6) else min_int in
+  let tuple op i = op (x i 0) (x i 1) (x i 2) (x i 3) (x i 4) (x i 5) in
+  let n = (1 lsl 18) + 6 in
+  let t = Explore.Table.create () and ids = ref true and found = ref true in
+  let all_found upto =
+    for i = 0 to upto - 1 do
+      if tuple (Explore.Table.find t) i <> i then found := false
+    done
+  in
+  for i = 0 to n - 1 do
+    if tuple (Explore.Table.add t) i <> i then ids := false;
+    (* The table doubles as the count passes half of a power of two. *)
+    let c = i + 1 in
+    if c > 32 && (c - 1) land (c - 2) = 0 then all_found c
+  done;
+  all_found n;
+  checkb "2^18 wide-ranging tuples get ids in order" true (!ids && Explore.Table.length t = n);
+  checkb "each is found under its id after every doubling" true !found;
+  Explore.Table.clear t;
+  let again = List.init 100 (fun i -> tuple (Explore.Table.add t) (n - 1 - i)) in
+  checkb "clear then re-adding numbers ids from 0" true
+    (again = List.init 100 Fun.id
+    && Explore.Table.length t = 100
+    && tuple (Explore.Table.find t) 0 = -1);
   (* Seeds are visited first, in caller order, deduplicated. *)
   let seeds = List.map (E.node g) [ 5; 0; 5; 9; 0 ] in
   let h = E.explore ~cap:max_int ~stop:0 ~seeds bounds in
