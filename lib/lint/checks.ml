@@ -1,6 +1,7 @@
 module Spec = Nfc_protocol.Spec
 module Explore = Nfc_mcheck.Explore
 module Boundness = Nfc_mcheck.Boundness
+module Pvec = Nfc_mcheck.Pvec
 module Iset = Set.Make (Int)
 
 type config = {
@@ -39,53 +40,33 @@ let default_config =
     checkpoint = (fun () -> ());
   }
 
-let take n l =
-  let rec go n acc = function
-    | x :: rest when n > 0 -> go (n - 1) (x :: acc) rest
-    | _ -> List.rev acc
+(* Q1's input closure of one station over its interned ids: a BFS from
+   [init] under [moves id push], stopped with [None] at the first id past
+   [cap] or at the first step that raises; otherwise [Some n], where [n]
+   counts the closure ids that [reached] had not marked (it marks them). *)
+let unreached_in_closure ~cap ~reached init moves =
+  let seen = Explore.Seen.create () in
+  let queue = Queue.create () in
+  let n = ref 0 and unreached = ref 0 in
+  let push id =
+    if Explore.Seen.first seen id then begin
+      if !n >= cap then raise Exit;
+      incr n;
+      Queue.push id queue
+    end
   in
-  go n [] l
+  try
+    push init;
+    while not (Queue.is_empty queue) do
+      let id = Queue.pop queue in
+      if Explore.Seen.first reached id then incr unreached;
+      moves id push
+    done;
+    Some !unreached
+  with _ -> None
 
 module Make (P : Spec.S) = struct
-  module Sset = Set.Make (struct
-    type t = P.sender
-
-    let compare = P.compare_sender
-  end)
-
-  module Rset = Set.Make (struct
-    type t = P.receiver
-
-    let compare = P.compare_receiver
-  end)
-
   let spf = Printf.sprintf
-
-  (* Closure of one station's state space under its inputs and poll, used
-     by Q1: when finite within [cap], states in the closure the composed
-     system never reaches are dead automaton code (under these bounds). *)
-  let closure ~cap ~init ~mem ~add ~empty ~moves =
-    try
-      let seen = ref (add init empty) in
-      let n = ref 1 in
-      let queue = Queue.create () in
-      Queue.push init queue;
-      let complete = ref true in
-      while not (Queue.is_empty queue) do
-        let s = Queue.pop queue in
-        List.iter
-          (fun s' ->
-            if not (mem s' !seen) then
-              if !n >= cap then complete := false
-              else begin
-                seen := add s' !seen;
-                incr n;
-                Queue.push s' queue
-              end)
-          (moves s)
-      done;
-      if !complete then Some !seen else None
-    with _ -> None
 
   let analyze cfg =
     let diags = ref [] in
@@ -124,34 +105,32 @@ module Make (P : Spec.S) = struct
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
     let sid_seen = Explore.Seen.create () and rid_seen = Explore.Seen.create () in
-    let senders = ref Sset.empty and receivers = ref Rset.empty in
+    let senders = ref [] and receivers = ref [] in
     for i = 0 to E.size g - 1 do
-      (* Interned-id equality is comparator equality, so deduping on the
-         id visits each distinct station state — and poll-probes it —
-         exactly once instead of once per configuration.  Channels need
-         no census: every packet in one was emitted by the poll of a
-         reached station state, which is probed here. *)
+      (* Interned-id equality is comparator equality (S1 checks the hash
+         coherence it rests on), so k_t and k_r count distinct ids.  Each
+         poll probe is a memo read, since the reach expanded every held
+         configuration, and catches emissions the capacity bound
+         suppressed.  Channels need no census: every packet in one was
+         emitted by the poll of a reached station state. *)
       let sid = E.sid g i and rid = E.rid g i in
       if Explore.Seen.first sid_seen sid then begin
         let s = E.sender_of sid in
-        senders := Sset.add s !senders;
-        (* Poll probes catch emissions the capacity bound suppressed. *)
-        match G.sender_poll s with
-        | Some p, _ -> atr := Iset.add p !atr
-        | None, _ -> ()
-        | exception e -> record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e
+        senders := s :: !senders;
+        match E.step_sender_poll s sid with
+        | Some p, _, _ -> atr := Iset.add p !atr
+        | None, _, _ -> ()
       end;
       if Explore.Seen.first rid_seen rid then begin
         let r = E.receiver_of rid in
-        receivers := Rset.add r !receivers;
-        match G.receiver_poll r with
-        | Some (Spec.Rsend p), _ -> art := Iset.add p !art
-        | (Some Spec.Rdeliver | None), _ -> ()
-        | exception e -> record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e
+        receivers := r :: !receivers;
+        match E.step_receiver_poll r rid with
+        | Some (Spec.Rsend p), _, _ -> art := Iset.add p !art
+        | (Some Spec.Rdeliver | None), _, _ -> ()
       end
     done;
-    let k_t = Sset.cardinal !senders in
-    let k_r = Rset.cardinal !receivers in
+    let k_t = List.length !senders in
+    let k_r = List.length !receivers in
     let product = k_t * k_r in
     let alpha = Iset.union !atr !art in
     let n_alpha = Iset.cardinal alpha in
@@ -190,7 +169,7 @@ module Make (P : Spec.S) = struct
             record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e);
         try ignore (P.on_submit s)
         with e -> record "on_submit" None (Format.asprintf "%a" P.pp_sender s) e)
-      (take cfg.max_probe_states (Sset.elements !senders));
+      (List.sort P.compare_sender !senders);
     List.iter
       (fun r ->
         List.iter (fun p -> ignore (G.on_data r p)) probe_pkts;
@@ -198,7 +177,7 @@ module Make (P : Spec.S) = struct
         | _ -> ()
         | exception e ->
             record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e)
-      (take cfg.max_probe_states (Rset.elements !receivers));
+      (List.sort P.compare_receiver !receivers);
     let seen_ops = Hashtbl.create 8 in
     let shown = ref 0 in
     List.iter
@@ -289,30 +268,46 @@ module Make (P : Spec.S) = struct
            !dead);
     (* Dead automaton states: only decidable when the station's input
        closure is finite within the cap (counter-carrying protocols are
-       not; the closure then returns None and the check stays silent). *)
-    let ack_alpha = Iset.elements !art @ cfg.fault_packets in
-    let data_alpha = Iset.elements !atr @ cfg.fault_packets in
-    (match
-       closure ~cap:cfg.max_probe_states ~init:P.sender_init ~mem:Sset.mem
-         ~add:Sset.add ~empty:Sset.empty ~moves:(fun s ->
-           (G.on_submit s :: snd (G.sender_poll s)
-            :: List.map (fun p -> G.on_ack s p) ack_alpha))
-     with
-    | Some closed when Sset.cardinal (Sset.diff closed !senders) > 0 ->
-        emit ~rule:"Q1" ~severity:Diagnostic.Info
-          (spf "%d sender state(s) in the input closure are never reached by the composed system"
-             (Sset.cardinal (Sset.diff closed !senders)))
-    | _ -> ());
-    (match
-       closure ~cap:cfg.max_probe_states ~init:P.receiver_init ~mem:Rset.mem
-         ~add:Rset.add ~empty:Rset.empty ~moves:(fun r ->
-           (snd (G.receiver_poll r) :: List.map (fun p -> G.on_data r p) data_alpha))
-     with
-    | Some closed when Rset.cardinal (Rset.diff closed !receivers) > 0 ->
-        emit ~rule:"Q1" ~severity:Diagnostic.Info
-          (spf "%d receiver state(s) in the input closure are never reached by the composed system"
-             (Rset.cardinal (Rset.diff closed !receivers)))
-    | _ -> ());
+       not; the closure then returns None and the check stays silent).
+       It walks engine ids through the step memos.  Packets the engine
+       never interned (the fault packets, suppressed poll emissions)
+       step outside the memo, so [E.pkts], which the --complete cover
+       iterates, stays as the reach left it. *)
+    let steps alpha step_id step intern =
+      List.map
+        (fun p ->
+          let rec find i =
+            if i < 0 then fun x _ -> intern (step x p)
+            else if Pvec.Index.packet E.pkts i = p then fun x id -> snd (step_id x id i)
+            else find (i - 1)
+          in
+          find (Pvec.Index.size E.pkts - 1))
+        (Iset.elements alpha @ cfg.fault_packets)
+    in
+    let acks = steps !art E.step_ack_id G.on_ack E.intern_sender in
+    let datas = steps !atr E.step_data_id G.on_data E.intern_receiver in
+    let report station = function
+      | Some n when n > 0 ->
+          emit ~rule:"Q1" ~severity:Diagnostic.Info
+            (spf "%d %s state(s) in the input closure are never reached by the composed system"
+               n station)
+      | _ -> ()
+    in
+    report "sender"
+      (unreached_in_closure ~cap:cfg.max_probe_states ~reached:sid_seen E.initial.E.sid
+         (fun sid push ->
+           let s = E.sender_of sid in
+           let _, _, polled = E.step_sender_poll s sid in
+           push (snd (E.step_submit s sid));
+           push polled;
+           List.iter (fun ack -> push (ack s sid)) acks));
+    report "receiver"
+      (unreached_in_closure ~cap:cfg.max_probe_states ~reached:rid_seen E.initial.E.rid
+         (fun rid push ->
+           let r = E.receiver_of rid in
+           let _, _, polled = E.step_receiver_poll r rid in
+           push polled;
+           List.iter (fun data -> push (data r rid)) datas));
     (* ----------------------------------------- S1: spec sanitizer *)
     (* Probes the spec-to-engine contract (comparator reflexivity,
        hash/comparator coherence, step purity) on the instrumented spec,

@@ -19,7 +19,7 @@ type config = {
   probe : Nfc_mcheck.Boundness.probe_bounds;  (** B1 boundness measurement *)
   max_probes : int;  (** cap on semi-valid configs probed for B1 *)
   fault_packets : int list;  (** extra out-of-alphabet packets for E1 *)
-  max_probe_states : int;  (** cap on states probed / closed over *)
+  max_probe_states : int;  (** cap on a station's Q1 input closure and on S1's state sample *)
   max_witnesses : int;  (** cap on witnesses per rule *)
   complete : bool;
       (** run the budget-free cover tier ({!Nfc_absint.Cover}) and

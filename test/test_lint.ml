@@ -296,6 +296,231 @@ let test_exit_codes () =
   let broken = [ Lazy.force broken_result ] in
   checki "errors exit 1" 1 (Report.exit_code ~strict:false broken)
 
+(* ------------------------------------------- Q1 dead automaton states *)
+
+(* The example specs, compiled as [lint --spec] compiles them. *)
+let example_specs =
+  lazy
+    (List.map
+       (fun file ->
+         match Nfc_pdl.Pdl.compile_file (Test_pdl.example file) with
+         | Ok c -> c.Nfc_pdl.Pdl.spec
+         | Error _ -> Alcotest.fail (file ^ " must compile"))
+       [
+         "alternating_bit.nfc";
+         "bounded_counter.nfc";
+         "flooding_counter.nfc";
+         "pumped_counter.nfc";
+         "stop_and_wait.nfc";
+       ])
+
+let example_results =
+  lazy (List.map (Engine.run Checks.default_config) (Lazy.force example_specs))
+
+let closure_lines (r : Engine.result) =
+  List.filter_map
+    (fun (d : Diagnostic.t) ->
+      if d.Diagnostic.rule = "Q1" && Test_pdl.contains d.Diagnostic.message "input closure" then
+        Some d.Diagnostic.message
+      else None)
+    r.Engine.diagnostics
+
+type closure = Closed of int | Capped | Raised
+
+(* Q1's dead-state check recomputed independently of the engine's ids:
+   each station's input closure in a comparator [Set] (at most [cap]
+   states, or [Capped]; [Raised] when a submit or poll raises, while a
+   raising [on_ack]/[on_data] is a self-loop, as lint's instrumented copy
+   treats it), against the station states of a fresh reach.  [Closed n]
+   counts the closure states that reach never visits. *)
+let reference_closures proto (cfg : Checks.config) (c : Certificate.t) =
+  let module P = (val proto : Spec.S) in
+  let module E = Nfc_mcheck.Explore.Make (P) in
+  let module Ss = Set.Make (struct
+    type t = P.sender
+
+    let compare = P.compare_sender
+  end) in
+  let module Rs = Set.Make (struct
+    type t = P.receiver
+
+    let compare = P.compare_receiver
+  end) in
+  let configs = E.configs (E.reachable_set cfg.Checks.bounds) in
+  let closure (type a) (module S : Set.S with type elt = a) (init : a) (moves : a -> a list)
+      (reached : a list) =
+    let seen = ref (S.singleton init) and queue = Queue.create () in
+    Queue.push init queue;
+    match
+      while not (Queue.is_empty queue) do
+        List.iter
+          (fun s ->
+            if not (S.mem s !seen) then begin
+              if S.cardinal !seen >= cfg.Checks.max_probe_states then raise Exit;
+              seen := S.add s !seen;
+              Queue.push s queue
+            end)
+          (moves (Queue.pop queue))
+      done
+    with
+    | () -> Closed (S.cardinal (S.diff !seen (S.of_list reached)))
+    | exception Exit -> Capped
+    | exception _ -> Raised
+  in
+  let acks = c.Certificate.alphabet_rt @ cfg.Checks.fault_packets in
+  let datas = c.Certificate.alphabet_tr @ cfg.Checks.fault_packets in
+  let total f x p = try f x p with _ -> x in
+  ( closure (module Ss) P.sender_init
+      (fun s ->
+        P.on_submit s :: snd (P.sender_poll s) :: List.map (total P.on_ack s) acks)
+      (List.map (fun (c : E.config) -> c.E.sender) configs),
+    closure (module Rs) P.receiver_init
+      (fun r -> snd (P.receiver_poll r) :: List.map (total P.on_data r) datas)
+      (List.map (fun (c : E.config) -> c.E.receiver) configs) )
+
+let expected_lines (senders, receivers) =
+  List.filter_map
+    (fun (station, closure) ->
+      match closure with
+      | Closed n when n > 0 ->
+          Some
+            (Printf.sprintf
+               "%d %s state(s) in the input closure are never reached by the composed system" n
+               station)
+      | _ -> None)
+    [ ("sender", senders); ("receiver", receivers) ]
+
+let test_q1_example_pins () =
+  let lines name =
+    closure_lines
+      (List.find (fun (r : Engine.result) -> r.Engine.protocol = name)
+         (Lazy.force example_results))
+  in
+  Alcotest.(check (list string))
+    "bounded-counter dead states"
+    [
+      "1 sender state(s) in the input closure are never reached by the composed system";
+      "3 receiver state(s) in the input closure are never reached by the composed system";
+    ]
+    (lines "bounded-counter");
+  Alcotest.(check (list string))
+    "flooding-counter dead states"
+    [
+      "75 sender state(s) in the input closure are never reached by the composed system";
+      "3 receiver state(s) in the input closure are never reached by the composed system";
+    ]
+    (lines "flooding-counter")
+
+let test_q1_capped_registry_silent () =
+  (* Every registry station's closure outgrows the cap, so the check has
+     no answer and says nothing. *)
+  List.iter2
+    (fun proto (r : Engine.result) ->
+      checkb (r.Engine.protocol ^ ": closures capped") true
+        (reference_closures proto Checks.default_config r.Engine.certificate = (Capped, Capped));
+      Alcotest.(check (list string)) (r.Engine.protocol ^ ": silent") [] (closure_lines r))
+    (Nfc_protocol.Registry.defaults ())
+    (Lazy.force registry_results)
+
+let test_q1_matches_reference () =
+  List.iter2
+    (fun proto (r : Engine.result) ->
+      Alcotest.(check (list string))
+        (r.Engine.protocol ^ ": Q1 closure lines")
+        (expected_lines (reference_closures proto Checks.default_config r.Engine.certificate))
+        (closure_lines r))
+    (Nfc_protocol.Registry.defaults () @ Lazy.force example_specs)
+    (Lazy.force registry_results @ Lazy.force example_results)
+
+(* The shared part of the two specs below: an int sender, and a
+   receiver that never sends, so no ack is ever delivered. *)
+module Silent_receiver = struct
+  let header_bound = Some 1
+
+  type sender = int
+  type receiver = unit
+
+  let sender_init = 0
+  let receiver_init = ()
+  let on_submit s = s
+  let on_data r _ = r
+  let receiver_poll r = (None, r)
+  let compare_sender = Int.compare
+  let compare_receiver = compare
+  let hash_sender = Some Spec.structural_hash
+  let hash_receiver = None
+  let cover_norm_sender = None
+  let cover_norm_receiver = None
+  let pp_sender = Format.pp_print_int
+  let pp_receiver ppf () = Format.pp_print_string ppf "()"
+  let sender_space_bits = Spec.bits_for_int
+  let receiver_space_bits _ = 1
+end
+
+(* A sender whose out-of-alphabet ack (a fault packet) leads to state 7,
+   which the composed system never reaches; with [poll_raises] its poll
+   raises there. *)
+module Dead_state (X : sig
+  val poll_raises : bool
+end) =
+struct
+  include Silent_receiver
+
+  let name = "dead-state-spec"
+  let describe = "a fault packet leads the sender to an unreached state"
+  let on_ack s p = if p < 0 then 7 else s
+
+  let sender_poll s =
+    if s = 7 && X.poll_raises then failwith "no poll in state 7" else (None, s)
+end
+
+let test_q1_raising_closure_silent () =
+  let run poll_raises =
+    closure_lines
+      (Engine.run small_cfg
+         (module Dead_state (struct
+           let poll_raises = poll_raises
+         end) : Spec.S))
+  in
+  Alcotest.(check (list string))
+    "closure that completes reports the dead state"
+    [ "1 sender state(s) in the input closure are never reached by the composed system" ]
+    (run false);
+  Alcotest.(check (list string)) "closure that raises stays silent" [] (run true)
+
+(* A sender that ticks silently through states 0 .. 2100 and whose
+   [on_ack] fails from state 2050 on.  No ack is ever delivered, so only
+   E1's probe of every reached state can see it, and 2050 lies past the
+   2,000th state of the comparator order. *)
+module Late_partial = struct
+  include Silent_receiver
+
+  let name = "late-partial-spec"
+  let describe = "on_ack fails only in states past the 2000th"
+  let on_ack s _ = if s >= 2050 then failwith "late state" else s
+  let sender_poll s = (None, min (s + 1) 2100)
+end
+
+let test_e1_probes_every_reached_state () =
+  let cfg =
+    {
+      small_cfg with
+      Checks.bounds = { small_cfg.Checks.bounds with Nfc_mcheck.Explore.max_nodes = 15_000 };
+    }
+  in
+  let r = Engine.run cfg (module Late_partial : Spec.S) in
+  checki "k_t spans every tick" 2101 r.Engine.certificate.Certificate.k_t;
+  checkb "more reached states than the closure cap" true
+    (r.Engine.certificate.Certificate.k_t > cfg.Checks.max_probe_states);
+  match List.find_opt (fun (d : Diagnostic.t) -> d.Diagnostic.rule = "E1") r.Engine.diagnostics with
+  | Some d ->
+      checkb "E1 is an error" true (d.Diagnostic.severity = Diagnostic.Error);
+      checkb "witness names the first failing state" true
+        (match d.Diagnostic.witness with
+        | Some w -> Test_pdl.contains w "in state 2050 raised"
+        | None -> false)
+  | None -> Alcotest.fail "E1 must report the partial on_ack past the 2,000th state"
+
 let suite =
   [
     ("registry lints clean", `Quick, test_registry_clean);
@@ -309,4 +534,9 @@ let suite =
     ("E1 witness names the defect", `Quick, test_broken_witnesses_name_the_defect);
     ("jsonl shape", `Quick, test_jsonl_one_object_per_protocol);
     ("exit codes", `Quick, test_exit_codes);
+    ("Q1 dead states pinned on the example specs", `Quick, test_q1_example_pins);
+    ("Q1 silent when a registry closure hits the cap", `Quick, test_q1_capped_registry_silent);
+    ("Q1 closure matches a comparator-set reference", `Quick, test_q1_matches_reference);
+    ("Q1 silent when the closure raises", `Quick, test_q1_raising_closure_silent);
+    ("E1 probes every reached station state", `Quick, test_e1_probes_every_reached_state);
   ]
