@@ -1,6 +1,6 @@
 # Convenience targets around dune; `make check` is the tier-1 gate.
 
-.PHONY: all build test check fmt lint smoke serve-smoke bench-json clean
+.PHONY: all build test check fmt lint smoke serve-smoke clean
 
 all: build
 
@@ -39,15 +39,6 @@ smoke: build
 # Prometheus series, and a 100-request loadgen storm with zero drops.
 serve-smoke: build
 	sh scripts/serve_smoke.sh
-
-# Bechamel OLS estimates for the engine ablation (hashed vs tree
-# reference on every registry protocol) as JSON, in an untracked
-# bench.json; the committed BENCH_*.json files are history.  Set
-# NFC_BENCH_FULL=1 to include the substrate suite.  End-to-end timings
-# come from perfbench/run.py.
-bench-json: build
-	dune exec bench/main.exe -- --json > bench.json
-	@echo "wrote bench.json"
 
 clean:
 	dune clean

@@ -778,12 +778,9 @@ let cover_cmd =
   in
   let run protocol positional submits nodes =
     let protocol = Option.value positional ~default:protocol in
-    let module P = (val protocol : Nfc_protocol.Spec.S) in
-    let module E = Nfc_mcheck.Explore.Make (P) in
-    let module C = Nfc_absint.Cover.Make (P) (E) in
-    let stats = C.run ~max_nodes:nodes ~submit_budget:submits () in
-    Format.printf "== %s (submit budget %d) ==@.%a@." P.name submits
-      Nfc_absint.Cover.pp_stats stats;
+    let stats = Nfc_absint.Cover.run ~max_nodes:nodes ~submit_budget:submits protocol in
+    Format.printf "== %s (submit budget %d) ==@.%a@." (Nfc_protocol.Spec.name protocol)
+      submits Nfc_absint.Cover.pp_stats stats;
     List.iter
       (fun s -> Format.printf "  acceleration: %s@." s)
       stats.Nfc_absint.Cover.accel_samples;

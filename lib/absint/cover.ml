@@ -352,3 +352,8 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
       stuck_witness = !stuck_witness;
     }
 end
+
+let run ?max_nodes ~submit_budget (proto : Spec.t) =
+  let module P = (val proto) in
+  let module C = Make (P) (Nfc_mcheck.Explore.Make (P)) in
+  C.run ?max_nodes ~submit_budget ()

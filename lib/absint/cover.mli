@@ -65,3 +65,7 @@ module Make (P : Nfc_protocol.Spec.S) (E : module type of Nfc_mcheck.Explore.Mak
       divergence backstop. *)
   val run : ?max_nodes:int -> submit_budget:int -> unit -> stats
 end
+
+(** [Make (P) (Explore.Make (P))]'s [run] on a fresh engine — what
+    [nfc cover] and the service's [/v1/cover] run. *)
+val run : ?max_nodes:int -> submit_budget:int -> Nfc_protocol.Spec.t -> stats

@@ -77,6 +77,7 @@ module Make (P : Spec.S) = struct
     (* ------------------------------------------------ instrumentation *)
     let partial = ref [] in
     let n_partial = ref 0 in
+    let polls_raised = ref 0 in
     let record op packet state_text e =
       incr n_partial;
       if List.length !partial < 64 then
@@ -96,6 +97,22 @@ module Make (P : Spec.S) = struct
         with e ->
           record "on_data" (Some p) (Format.asprintf "%a" P.pp_receiver r) e;
           r
+
+      (* A raising poll reads as a silent one, so the reach goes on and
+         E1 reports it. *)
+      let sender_poll s =
+        try P.sender_poll s
+        with e ->
+          incr polls_raised;
+          record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e;
+          (None, s)
+
+      let receiver_poll r =
+        try P.receiver_poll r
+        with e ->
+          incr polls_raised;
+          record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e;
+          (None, r)
     end in
     let module B = Boundness.Make (G) in
     let module E = B.E in
@@ -163,20 +180,14 @@ module Make (P : Spec.S) = struct
     List.iter
       (fun s ->
         List.iter (fun p -> ignore (G.on_ack s p)) probe_pkts;
-        (match G.sender_poll s with
-        | _ -> ()
-        | exception e ->
-            record "sender_poll" None (Format.asprintf "%a" P.pp_sender s) e);
+        ignore (G.sender_poll s);
         try ignore (P.on_submit s)
         with e -> record "on_submit" None (Format.asprintf "%a" P.pp_sender s) e)
       (List.sort P.compare_sender !senders);
     List.iter
       (fun r ->
         List.iter (fun p -> ignore (G.on_data r p)) probe_pkts;
-        match G.receiver_poll r with
-        | _ -> ()
-        | exception e ->
-            record "receiver_poll" None (Format.asprintf "%a" P.pp_receiver r) e)
+        ignore (G.receiver_poll r))
       (List.sort P.compare_receiver !receivers);
     let seen_ops = Hashtbl.create 8 in
     let shown = ref 0 in
@@ -269,10 +280,12 @@ module Make (P : Spec.S) = struct
     (* Dead automaton states: only decidable when the station's input
        closure is finite within the cap (counter-carrying protocols are
        not; the closure then returns None and the check stays silent).
-       It walks engine ids through the step memos.  Packets the engine
-       never interned (the fault packets, suppressed poll emissions)
-       step outside the memo, so [E.pkts], which the --complete cover
-       iterates, stays as the reach left it. *)
+       A raising poll leaves a station's moves unknown, so once one has
+       raised, anywhere, the check stays silent too.  It walks engine
+       ids through the step memos.  Packets the engine never interned
+       (the fault packets, suppressed poll emissions) step outside the
+       memo, so [E.pkts], which the --complete cover iterates, stays as
+       the reach left it. *)
     let steps alpha step_id step intern =
       List.map
         (fun p ->
@@ -286,28 +299,32 @@ module Make (P : Spec.S) = struct
     in
     let acks = steps !art E.step_ack_id G.on_ack E.intern_sender in
     let datas = steps !atr E.step_data_id G.on_data E.intern_receiver in
+    let sender_closure =
+      unreached_in_closure ~cap:cfg.max_probe_states ~reached:sid_seen E.initial.E.sid
+        (fun sid push ->
+          let s = E.sender_of sid in
+          let _, _, polled = E.step_sender_poll s sid in
+          push (snd (E.step_submit s sid));
+          push polled;
+          List.iter (fun ack -> push (ack s sid)) acks)
+    in
+    let receiver_closure =
+      unreached_in_closure ~cap:cfg.max_probe_states ~reached:rid_seen E.initial.E.rid
+        (fun rid push ->
+          let r = E.receiver_of rid in
+          let _, _, polled = E.step_receiver_poll r rid in
+          push polled;
+          List.iter (fun data -> push (data r rid)) datas)
+    in
     let report station = function
-      | Some n when n > 0 ->
+      | Some n when n > 0 && !polls_raised = 0 ->
           emit ~rule:"Q1" ~severity:Diagnostic.Info
             (spf "%d %s state(s) in the input closure are never reached by the composed system"
                n station)
       | _ -> ()
     in
-    report "sender"
-      (unreached_in_closure ~cap:cfg.max_probe_states ~reached:sid_seen E.initial.E.sid
-         (fun sid push ->
-           let s = E.sender_of sid in
-           let _, _, polled = E.step_sender_poll s sid in
-           push (snd (E.step_submit s sid));
-           push polled;
-           List.iter (fun ack -> push (ack s sid)) acks));
-    report "receiver"
-      (unreached_in_closure ~cap:cfg.max_probe_states ~reached:rid_seen E.initial.E.rid
-         (fun rid push ->
-           let r = E.receiver_of rid in
-           let _, _, polled = E.step_receiver_poll r rid in
-           push polled;
-           List.iter (fun data -> push (data r rid)) datas));
+    report "sender" sender_closure;
+    report "receiver" receiver_closure;
     (* ----------------------------------------- S1: spec sanitizer *)
     (* Probes the spec-to-engine contract (comparator reflexivity,
        hash/comparator coherence, step purity) on the instrumented spec,

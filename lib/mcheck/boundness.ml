@@ -217,9 +217,10 @@ module Make (P : Spec.S) = struct
     let n_semi = List.length semi_valid in
     let budget = match max_probes with None -> max_int | Some n -> n in
     (* Sample the first [max_probes] semi-valid configurations in the
-       canonical configuration order ({!E.compare_config}) — the same
-       subset the tree-based engine probed when it iterated its visited
-       {e set}.  When every configuration is probed anyway, order is
+       canonical configuration order — (submitted, delivered), then the
+       state comparators, then the channel multisets in key order: the
+       same subset the tree-based engine probed when it iterated its
+       visited {e set}.  When every configuration is probed anyway, order is
        irrelevant (the aggregation is commutative) and no selection runs.
        Otherwise a bounded max-heap of configuration ids ([smallest])
        keeps the [max_probes] smallest and only they are sorted.  It

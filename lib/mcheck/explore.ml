@@ -20,10 +20,6 @@ let default_bounds =
     por = false;
   }
 
-let bounds_key b =
-  Printf.sprintf "c%d:%d/s%d/n%d/d%b" b.capacity_tr b.capacity_rt b.submit_budget b.max_nodes
-    b.allow_drop
-
 type stats = {
   nodes : int;
   sender_states : int;
@@ -525,28 +521,6 @@ module Make (P : Spec.S) = struct
 
   let packets_tr c = chan_packets c.tr
   let packets_rt c = chan_packets c.rt
-
-  (* The canonical comparator over configurations — the tree-based
-     engine's visited-set order, kept for consumers that need a
-     BFS-independent total order (boundness probes sample the first
-     [max_probes] semi-valid configurations in this order). *)
-  let compare_config a b =
-    let c = compare a.submitted b.submitted in
-    if c <> 0 then c
-    else
-      let c = compare a.delivered b.delivered in
-      if c <> 0 then c
-      else
-        let c = P.compare_sender a.sender b.sender in
-        if c <> 0 then c
-        else
-          let c = P.compare_receiver a.receiver b.receiver in
-          if c <> 0 then c
-          else
-            (* Sorted (packet, count) association lists compare exactly as
-               [Multiset.Int.compare] (bindings in key order) did. *)
-            let c = Stdlib.compare (chan_packets a.tr) (chan_packets b.tr) in
-            if c <> 0 then c else Stdlib.compare (chan_packets a.rt) (chan_packets b.rt)
 
   (* A configuration from its six ints: the states are read back from
      the interners.  The kernel itself never builds one; records exist

@@ -55,11 +55,6 @@ type bounds = {
 
 val default_bounds : bounds
 
-(** Canonical fingerprint of a bounds record — the memo key under which
-    resident analyses ({!Nfc_serve.Cache}) share one exploration across
-    requests.  Equal bounds, equal key; distinct bounds, distinct key. *)
-val bounds_key : bounds -> string
-
 type stats = {
   nodes : int;  (** distinct configurations visited *)
   sender_states : int;  (** distinct sender states seen *)
@@ -226,12 +221,6 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val packets_tr : config -> (int * int) list
 
   val packets_rt : config -> (int * int) list
-
-  (** Total order on configurations matching the tree-based engine's
-      visited-set order: (submitted, delivered), then the state
-      comparators, then the channel multisets in key order.  Used where a
-      BFS-independent order matters (boundness probe sampling). *)
-  val compare_config : config -> config -> int
 
   (** Labelled successor relation under the given bounds ([None] labels a
       silent timer tick), in continuation-passing style.  [deliver_valid_only]

@@ -1,13 +1,12 @@
 (** The tree-based exploration engine the hashed {!Explore} engine
-    replaced, retained as the differential-testing oracle and benchmark
-    baseline.
+    replaced, retained as the differential-testing oracle.
 
     Semantics are identical to {!Explore} and the pre-hashed
     {!Boundness}: balanced-tree ([Set.Make]) visited sets keyed on the
     state comparators and [Multiset] channel contents.  Nothing in the
     production path uses this module — it exists so test/test_engine.ml
     can assert the hashed engine agrees on every statistic, verdict and
-    measured boundness, and so bench/ can quantify the speedup. *)
+    measured boundness. *)
 
 (** Phantom-delivery search (old engine). *)
 val find_phantom : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.outcome
@@ -15,9 +14,8 @@ val find_phantom : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.outcome
 (** Full bounded exploration statistics (old engine, via [search]). *)
 val reachable : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.stats
 
-(** Statistics and truncation flag of the old [reachable_set] — the
-    benchmark's unit of comparison against the hashed engine's
-    [reachable_set]. *)
+(** Statistics and truncation flag of the old [reachable_set], compared
+    against the hashed engine's [reachable_set]. *)
 val reachable_set_stats : Nfc_protocol.Spec.t -> Explore.bounds -> Explore.stats * bool
 
 (** The configurations of the old [reachable_set] in BFS order: the

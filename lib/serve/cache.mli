@@ -1,28 +1,33 @@
-(** The shared read-only analysis cache behind the service handlers.
+(** The service's result memo and its store of submitted protocols.
 
-    One resident context per protocol: the exploration engine (state
-    interners, packet index, transition memos) and its sibling
-    Karp–Miller engine persist across requests, with reachable sets,
-    converged covers and whole reports memoized per parameter
-    fingerprint — the amortization that makes a resident verifier faster
-    than per-invocation CLI runs.
+    Every analysis the service memoizes (lint, boundness, cover) is a
+    deterministic function of the protocol and its parameters, so the
+    memo keeps finished result documents and nothing else.  The
+    handlers' computes call exactly what the CLI calls, each on a fresh
+    engine, so a hit returns the bytes a cold run would have produced.
+    Keeping engines resident between requests was sized and bought
+    nothing (DESIGN §5.9).
 
-    Every cached analysis runs the same deterministic code path as the
-    CLI ({!Nfc_lint.Engine.run}, {!Nfc_mcheck.Boundness.measure},
-    {!Nfc_absint.Cover.Make}), so a memo hit returns exactly the value a
-    cold run would have produced: served lint verdicts are byte-identical
-    to [nfc lint] CLI output at the same parameters.
-
-    Thread-safe: per-protocol locks serialise analyses on one protocol
-    (the first request computes while duplicates wait, then hit);
-    different protocols proceed in parallel. *)
+    Thread-safe, with one lock per memo key: a request whose key is
+    still being computed waits for that compute and then hits; requests
+    for different keys run in parallel, on one protocol or several. *)
 
 type t
 
-(** [on_lookup] fires per memoized lookup (telemetry). *)
+(** [on_lookup] fires once per {!memo} call (telemetry). *)
 val create : ?on_lookup:(hit:bool -> unit) -> unit -> t
 
-(** Canonical names of the protocols with resident contexts so far. *)
+(** [memo t ~protocol ~key compute] is the document memoized under
+    [(protocol, key)], computing it on a miss.  [protocol] is a builtin's
+    canonical name or a submitted spec's ["pdl:<digest>"] handle, never a
+    submitted spec's self-declared name, so a spec named after a builtin
+    can neither poison nor reuse the builtin's results.  [key] must
+    determine the result given the protocol.  A compute that raises (a
+    cancelled job) memoizes nothing; the next request computes again. *)
+val memo : t -> protocol:string -> key:string -> (unit -> string) -> string
+
+(** The protocols {!memo} has been asked about, sorted (the [/healthz]
+    [resident_protocols] field). *)
 val protocols : t -> string list
 
 (** Store a user-submitted compiled protocol under its content-digest
@@ -38,29 +43,3 @@ val spec_handles : t -> string list
 
 (** Number of registered user protocols (the resident-protocols gauge). *)
 val spec_count : t -> int
-
-(** The full lint analysis — the value behind one line of
-    [nfc lint --json].  [?key] overrides the resident-context key (used
-    for user-submitted protocols, keyed by handle rather than by their
-    self-declared name). *)
-val lint :
-  ?key:string -> t -> Nfc_protocol.Spec.t -> Nfc_lint.Checks.config -> Nfc_lint.Engine.result
-
-(** [checkpoint] is the requester's cancellation hook, called from inside
-    the exploration on a miss and never on a hit. *)
-val boundness :
-  ?key:string ->
-  t ->
-  Nfc_protocol.Spec.t ->
-  checkpoint:(unit -> unit) ->
-  explore:Nfc_mcheck.Explore.bounds ->
-  probe:Nfc_mcheck.Boundness.probe_bounds ->
-  Nfc_mcheck.Boundness.report
-
-val cover :
-  ?key:string ->
-  t ->
-  Nfc_protocol.Spec.t ->
-  submit_budget:int ->
-  max_nodes:int ->
-  Nfc_absint.Cover.stats

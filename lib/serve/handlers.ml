@@ -8,10 +8,11 @@
    the registration undone) when the queue is full.
 
    Parameter names and defaults mirror the CLI flags of the
-   corresponding [nfc] subcommand, and each compute closure runs the
-   same code path the CLI runs — via {!Cache} for the memoizable
-   analyses — so a served result is byte-identical to the CLI's output
-   at the same parameters. *)
+   corresponding [nfc] subcommand, and each compute closure calls the
+   CLI's own entry point on a fresh engine, so a served result is
+   byte-identical to the CLI's output at the same parameters.  Lint,
+   boundness and cover results go through {!Cache.memo}, keyed by the
+   clamped request parameters. *)
 
 module J = Nfc_util.Json
 
@@ -37,16 +38,19 @@ let parse_body (req : Http.request) =
 
    - registry names ("altbit", "gbn:4", ...) resolve as on the CLI;
    - "pdl:<digest>" handles resolve to protocols previously submitted
-     via POST /v1/protocols — returned with their handle so the analysis
-     caches key by content digest, never by the spec's self-declared
-     name (which could collide with a builtin's resident context);
+     via POST /v1/protocols;
    - "file:PATH" is refused: the CLI loader reads the server's
-     filesystem, which a network client must not be able to do. *)
+     filesystem, which a network client must not be able to do.
+
+   The second component is the name the result memo keys on: the handle
+   for a submitted spec, never its self-declared name (which could
+   collide with a builtin's), and the canonical name for a builtin, so
+   aliases share results. *)
 let protocol_of ctx body =
   let* name = J.get_string "protocol" body in
   if String.length name >= 4 && String.sub name 0 4 = "pdl:" then
     match Cache.find_spec ctx.cache name with
-    | Some proto -> Ok (proto, Some name)
+    | Some proto -> Ok (proto, name)
     | None ->
         Error
           (Printf.sprintf
@@ -56,11 +60,11 @@ let protocol_of ctx body =
     Error "file: protocol sources are not served; POST the spec to /v1/protocols instead"
   else
     let* proto = Nfc_protocol.Registry.parse name in
-    Ok (proto, None)
+    Ok (proto, Nfc_protocol.Spec.name proto)
 
 (* Clamp instead of reject: a client asking for a bigger budget than the
    service grants still gets a well-defined (smaller) analysis, and the
-   job record names the actual parameters via the cache key. *)
+   memo keys on the clamped value. *)
 let get_clamped ~lo ~hi ?default k body =
   let* v = J.get_int ?default k body in
   Ok (max lo (min hi v))
@@ -106,7 +110,7 @@ let lint ctx : Router.handler =
  fun ~params:_ req ->
   or_400
     (let* body = parse_body req in
-     let* proto, key = protocol_of ctx body in
+     let* proto, protocol = protocol_of ctx body in
      let* capacity = get_clamped ~lo:1 ~hi:8 ~default:2 "capacity" body in
      let* submits = get_clamped ~lo:0 ~hi:16 ~default:3 "submits" body in
      let* nodes = get_clamped ~lo:1 ~hi:2_000_000 ~default:100_000 "nodes" body in
@@ -115,6 +119,10 @@ let lint ctx : Router.handler =
        get_clamped ~lo:1 ~hi:2_000_000 ~default:200_000 "cover_nodes" body
      in
      let* stab = J.get_bool ~default:false "stab" body in
+     let key =
+       Printf.sprintf "lint capacity=%d submits=%d nodes=%d complete=%b cover_nodes=%d stab=%b"
+         capacity submits nodes complete cover_nodes stab
+     in
      let cfg =
        {
          Nfc_lint.Checks.default_config with
@@ -144,19 +152,19 @@ let lint ctx : Router.handler =
                 Nfc_lint.Checks.checkpoint = (fun () -> check_cancelled cancelled);
               }
             in
-            let result = Cache.lint ?key ctx.cache proto cfg in
-            (* The stabilization tier rides outside the cache (it is not
-               part of the cache key) and runs at its own bounds — see
-               [Nfc_lint.Stab_tier]. *)
-            let result = if stab then Nfc_lint.Stab_tier.apply proto result else result in
-            (* One line of [nfc lint --json], sans the newline. *)
-            chomp (Nfc_lint.Report.jsonl [ result ]))))
+            Cache.memo ctx.cache ~protocol ~key (fun () ->
+                let result = Nfc_lint.Engine.run cfg proto in
+                (* The stabilization tier runs at its own bounds — see
+                   [Nfc_lint.Stab_tier]. *)
+                let result = if stab then Nfc_lint.Stab_tier.apply proto result else result in
+                (* One line of [nfc lint --json], sans the newline. *)
+                chomp (Nfc_lint.Report.jsonl [ result ])))))
 
 let simulate ctx : Router.handler =
  fun ~params:_ req ->
   or_400
     (let* body = parse_body req in
-     let* proto, _key = protocol_of ctx body in
+     let* proto, _ = protocol_of ctx body in
      let* spec = J.get_string ~default:"reorder:0.8:0.05" "channel" body in
      let* factory = Nfc_channel.Policy.parse_factory spec in
      let* n = get_clamped ~lo:1 ~hi:10_000 ~default:10 "messages" body in
@@ -189,7 +197,7 @@ let fuzz ctx : Router.handler =
  fun ~params:_ req ->
   or_400
     (let* body = parse_body req in
-     let* proto, _key = protocol_of ctx body in
+     let* proto, _ = protocol_of ctx body in
      let* iterations =
        get_clamped ~lo:1 ~hi:1_000_000 ~default:50_000 "iterations" body
      in
@@ -218,7 +226,7 @@ let boundness ctx : Router.handler =
  fun ~params:_ req ->
   or_400
     (let* body = parse_body req in
-     let* proto, key = protocol_of ctx body in
+     let* proto, protocol = protocol_of ctx body in
      let* nodes = get_clamped ~lo:1 ~hi:2_000_000 ~default:30_000 "nodes" body in
      let* capacity = get_clamped ~lo:1 ~hi:8 ~default:2 "capacity" body in
      let* submits = get_clamped ~lo:0 ~hi:16 ~default:2 "submits" body in
@@ -235,18 +243,20 @@ let boundness ctx : Router.handler =
        (submit ctx ~kind:"boundness" ~protocol:(Nfc_protocol.Spec.name proto)
           ~compute:(fun ~cancelled ->
             check_cancelled cancelled;
-            let report =
-              Cache.boundness ?key ctx.cache proto
-                ~checkpoint:(fun () -> check_cancelled cancelled)
-                ~explore ~probe:Nfc_mcheck.Boundness.default_probe_bounds
+            let key =
+              Printf.sprintf "boundness capacity=%d submits=%d nodes=%d" capacity submits nodes
             in
-            J.to_string (Nfc_mcheck.Boundness.to_json report))))
+            Cache.memo ctx.cache ~protocol ~key (fun () ->
+                Nfc_mcheck.Boundness.measure proto
+                  ~checkpoint:(fun () -> check_cancelled cancelled)
+                  ~explore ~probe:Nfc_mcheck.Boundness.default_probe_bounds
+                |> Nfc_mcheck.Boundness.to_json |> J.to_string))))
 
 let cover ctx : Router.handler =
  fun ~params:_ req ->
   or_400
     (let* body = parse_body req in
-     let* proto, key = protocol_of ctx body in
+     let* proto, protocol = protocol_of ctx body in
      let* submits = get_clamped ~lo:0 ~hi:16 ~default:3 "submits" body in
      let* nodes =
        get_clamped ~lo:1 ~hi:2_000_000 ~default:200_000 "nodes" body
@@ -255,10 +265,10 @@ let cover ctx : Router.handler =
        (submit ctx ~kind:"cover" ~protocol:(Nfc_protocol.Spec.name proto)
           ~compute:(fun ~cancelled ->
             check_cancelled cancelled;
-            let stats =
-              Cache.cover ?key ctx.cache proto ~submit_budget:submits ~max_nodes:nodes
-            in
-            J.to_string (Nfc_absint.Cover.stats_to_json stats))))
+            let key = Printf.sprintf "cover submits=%d nodes=%d" submits nodes in
+            Cache.memo ctx.cache ~protocol ~key (fun () ->
+                Nfc_absint.Cover.run proto ~submit_budget:submits ~max_nodes:nodes
+                |> Nfc_absint.Cover.stats_to_json |> J.to_string))))
 
 (* ------------------------------------------------- submitted protocols *)
 

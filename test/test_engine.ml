@@ -39,6 +39,10 @@ let differential_inputs () =
 
 (* ------------------------------------------------ reach differential *)
 
+let bounds_label (b : Explore.bounds) =
+  Printf.sprintf "c%d:%d/s%d/n%d/d%b" b.capacity_tr b.capacity_rt b.submit_budget b.max_nodes
+    b.allow_drop
+
 let test_reach_stats_agree () =
   List.iter
     (fun (proto, bounds) ->
@@ -46,7 +50,7 @@ let test_reach_stats_agree () =
       let module E = Explore.Make (P) in
       let r = E.reachable_set bounds in
       let ref_stats, ref_truncated = Reference.reachable_set_stats proto bounds in
-      let n = P.name ^ " @ " ^ Explore.bounds_key bounds in
+      let n = P.name ^ " @ " ^ bounds_label bounds in
       if bounds == flood_cap4 then checkb (n ^ " explored whole") false r.E.truncated;
       checki (n ^ " nodes") ref_stats.Explore.nodes r.E.reach_stats.Explore.nodes;
       checki (n ^ " k_t") ref_stats.Explore.sender_states
@@ -73,7 +77,7 @@ let test_phantom_verdicts_agree () =
       let got = verdict (Explore.find_phantom proto bounds) in
       let want = verdict (Reference.find_phantom proto bounds) in
       checkb
-        (name_of proto ^ " @ " ^ Explore.bounds_key bounds ^ " verdict (incl. trace length)")
+        (name_of proto ^ " @ " ^ bounds_label bounds ^ " verdict (incl. trace length)")
         true (got = want))
     (differential_inputs ())
 
@@ -212,9 +216,8 @@ let test_from_configs_seed_contract () =
     (fun proto ->
       let module P = (val proto : Nfc_protocol.Spec.S) in
       let module E = Explore.Make (P) in
-      let same_configs xs ys =
-        List.length xs = List.length ys && List.for_all2 (fun x y -> E.compare_config x y = 0) xs ys
-      in
+      let ints (c : E.config) = (c.sid, c.rid, c.tr, c.rt, c.submitted, c.delivered) in
+      let same_configs xs ys = List.map ints xs = List.map ints ys in
       let n = P.name in
       let r = E.reachable_set b in
       let f = E.from_configs ~seeds:[ E.initial ] b in

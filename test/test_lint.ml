@@ -521,6 +521,34 @@ let test_e1_probes_every_reached_state () =
         | None -> false)
   | None -> Alcotest.fail "E1 must report the partial on_ack past the 2,000th state"
 
+(* Both polls raise in reachable states: the sender's once its silent
+   ticks reach state 3, the receiver's in its only state.  Lint must
+   report each as E1 instead of letting the exception out of the reach. *)
+module Raising_polls = struct
+  include Silent_receiver
+
+  let name = "raising-polls-spec"
+  let describe = "sender_poll fails in state 3, receiver_poll everywhere"
+  let on_ack s _ = s
+  let sender_poll s = if s = 3 then failwith "poll3" else (None, s + 1)
+  let receiver_poll () = failwith "rpoll"
+end
+
+let test_e1_reports_raising_polls () =
+  let r = Engine.run small_cfg (module Raising_polls : Spec.S) in
+  checki "the reach passes the raising state" 4 r.Engine.certificate.Certificate.k_t;
+  let witnesses =
+    List.filter_map
+      (fun (d : Diagnostic.t) ->
+        if d.Diagnostic.rule = "E1" && d.Diagnostic.severity = Diagnostic.Error then
+          d.Diagnostic.witness
+        else None)
+      r.Engine.diagnostics
+  in
+  let names sub = List.exists (fun w -> Test_pdl.contains w sub) witnesses in
+  checkb "sender_poll witness" true (names {|sender_poll in state 3 raised Failure("poll3")|});
+  checkb "receiver_poll witness" true (names {|receiver_poll in state () raised Failure("rpoll")|})
+
 let suite =
   [
     ("registry lints clean", `Quick, test_registry_clean);
@@ -539,4 +567,5 @@ let suite =
     ("Q1 closure matches a comparator-set reference", `Quick, test_q1_matches_reference);
     ("Q1 silent when the closure raises", `Quick, test_q1_raising_closure_silent);
     ("E1 probes every reached station state", `Quick, test_e1_probes_every_reached_state);
+    ("E1 reports raising polls", `Quick, test_e1_reports_raising_polls);
   ]

@@ -97,6 +97,40 @@ let test_jobs_remove_undoes_registration () =
   S.Jobs.remove t j;
   checkb "removed" true (S.Jobs.find t j.S.Jobs.id = None)
 
+(* ---------------------------------------------------------------- cache *)
+
+(* A raising compute memoizes nothing; a request that arrives while the
+   same key computes waits and then hits; keys are per protocol. *)
+let test_cache_memo () =
+  let hits = ref 0 and misses = ref 0 in
+  let c = S.Cache.create ~on_lookup:(fun ~hit -> incr (if hit then hits else misses)) () in
+  let memo protocol doc = S.Cache.memo c ~protocol ~key:"k" (fun () -> doc) in
+  (match S.Cache.memo c ~protocol:"p" ~key:"k" (fun () -> raise Exit) with
+  | _ -> Alcotest.fail "the compute raised"
+  | exception Exit -> ());
+  checkstr "recomputed after an abort" "a" (memo "p" "a");
+  checkstr "hit" "a" (memo "p" "b");
+  checkstr "another protocol" "c" (memo "q" "c");
+  let inside = Atomic.make false in
+  let first =
+    Thread.create
+      (fun () ->
+        ignore
+          (S.Cache.memo c ~protocol:"r" ~key:"k" (fun () ->
+               Atomic.set inside true;
+               Thread.delay 0.1;
+               "first")))
+      ()
+  in
+  while not (Atomic.get inside) do
+    Thread.yield ()
+  done;
+  checkstr "a duplicate waits for the compute" "first" (memo "r" "second");
+  Thread.join first;
+  checki "misses" 4 !misses;
+  checki "hits" 2 !hits;
+  Alcotest.(check (list string)) "protocols" [ "p"; "q"; "r" ] (S.Cache.protocols c)
+
 (* --------------------------------------------------------------- router *)
 
 let mk_request ?(meth = "GET") ?(body = "") target =
@@ -500,6 +534,103 @@ let test_e2e_protocol_submission () =
         (str_contains metrics {|nfc_protocol_submissions_total{outcome="cached"} 2|});
       checkb "resident gauge" true (str_contains metrics "nfc_protocols_resident 1"))
 
+(* The counter [nfc_cache_requests_total{result=...}] as /metrics shows it. *)
+let cache_requests ~port result =
+  let _, _, metrics = request ~port ~meth:"GET" ~target:"/metrics" () in
+  let prefix = Printf.sprintf {|nfc_cache_requests_total{result="%s"} |} result in
+  let n = String.length prefix in
+  List.fold_left
+    (fun acc line ->
+      if String.length line > n && String.sub line 0 n = prefix then
+        int_of_string (String.sub line n (String.length line - n))
+      else acc)
+    0
+    (String.split_on_char '\n' metrics)
+
+let served ~port endpoint body =
+  let id = submit_ok ~port endpoint body in
+  checkstr (endpoint ^ " terminal state") "done" (poll_terminal ~port id);
+  let status, _, doc = request ~port ~meth:"GET" ~target:("/v1/jobs/" ^ id ^ "/result") () in
+  checki (endpoint ^ " result status") 200 status;
+  doc
+
+(* Served boundness and cover documents = the CLI entry points' JSON at
+   the same parameters, for two parameter sets on one builtin and for a
+   submitted handle; a repeated stab lint is a memo hit with the same
+   bytes. *)
+let test_e2e_boundness_cover_and_stab_memo () =
+  with_server (fun port ->
+      let _, _, body =
+        request ~port ~meth:"POST" ~target:"/v1/protocols" ~body:impostor_spec ()
+      in
+      let handle = get_str "handle" body in
+      let builtin = Result.get_ok (Nfc_protocol.Registry.parse "stop-and-wait") in
+      let compiled =
+        match Nfc_pdl.Pdl.compile_string impostor_spec with
+        | Ok c -> c.Nfc_pdl.Pdl.spec
+        | Error _ -> Alcotest.fail "the impostor spec must compile"
+      in
+      let doc j = J.to_string j ^ "\n" in
+      List.iter
+        (fun (name, proto, capacity, submits, nodes) ->
+          let explore =
+            {
+              Nfc_mcheck.Explore.default_bounds with
+              capacity_tr = capacity;
+              capacity_rt = capacity;
+              submit_budget = submits;
+              max_nodes = nodes;
+            }
+          in
+          checkstr
+            (Printf.sprintf "%s boundness c%d s%d n%d" name capacity submits nodes)
+            (doc
+               (Nfc_mcheck.Boundness.to_json
+                  (Nfc_mcheck.Boundness.measure proto ~explore
+                     ~probe:Nfc_mcheck.Boundness.default_probe_bounds)))
+            (served ~port "boundness"
+               (Printf.sprintf {|{"protocol":%S,"capacity":%d,"submits":%d,"nodes":%d}|} name
+                  capacity submits nodes)))
+        [
+          ("stop-and-wait", builtin, 2, 2, 3000);
+          ("stop-and-wait", builtin, 1, 3, 5000);
+          (handle, compiled, 2, 2, 3000);
+        ];
+      List.iter
+        (fun (name, proto, submits, nodes) ->
+          checkstr
+            (Printf.sprintf "%s cover s%d n%d" name submits nodes)
+            (doc
+               (Nfc_absint.Cover.stats_to_json
+                  (Nfc_absint.Cover.run proto ~submit_budget:submits ~max_nodes:nodes)))
+            (served ~port "cover"
+               (Printf.sprintf {|{"protocol":%S,"submits":%d,"nodes":%d}|} name submits nodes)))
+        [
+          ("stop-and-wait", builtin, 2, 50_000);
+          ("stop-and-wait", builtin, 3, 50_000);
+          (handle, compiled, 3, 50_000);
+        ];
+      (* A plain lint at the same bounds first: [stab] must be part of
+         the key, or the stab lint would hit this result. *)
+      ignore (served ~port "lint" {|{"protocol":"stop-and-wait","nodes":20000}|});
+      let stab_lint = {|{"protocol":"stop-and-wait","nodes":20000,"stab":true}|} in
+      let hits = cache_requests ~port "hit" in
+      let first = served ~port "lint" stab_lint in
+      checki "first stab lint misses" hits (cache_requests ~port "hit");
+      let expected =
+        Nfc_lint.Report.jsonl
+          [ Nfc_lint.Stab_tier.apply builtin (Nfc_lint.Engine.run lint_cfg_20k builtin) ]
+      in
+      checkstr "stab lint byte-identical to the CLI line" expected first;
+      checkb "the stab tier ran" true (str_contains first {|"rule":"SS1"|});
+      let second = served ~port "lint" stab_lint in
+      checki "second stab lint hits" (hits + 1) (cache_requests ~port "hit");
+      checkstr "the hit serves the same bytes" first second;
+      let _, _, health = request ~port ~meth:"GET" ~target:"/healthz" () in
+      checkb "resident protocols" true
+        (str_contains health
+           (Printf.sprintf {|"resident_protocols":["%s","stop-and-wait"]|} handle)))
+
 let test_e2e_protocol_submission_errors () =
   with_server (fun port ->
       (* Uncompilable spec -> 400 with located diagnostics: a parse error,
@@ -595,4 +726,6 @@ let suite =
     ("e2e protocol submission", `Quick, test_e2e_protocol_submission);
     ("e2e protocol submission errors", `Quick, test_e2e_protocol_submission_errors);
     ("e2e did-you-mean 400", `Quick, test_e2e_did_you_mean_400);
+    ("cache memo", `Quick, test_cache_memo);
+    ("e2e boundness, cover and stab memo", `Quick, test_e2e_boundness_cover_and_stab_memo);
   ]
