@@ -705,17 +705,14 @@ let lint_cmd =
     | results ->
         let results =
           match (static, compiled) with
-          | true, Some c when refine > 0 ->
-              let res = Nfc_refine.Refine.run ~rounds:refine c.Nfc_pdl.Pdl.checked in
+          | true, Some c ->
+              let rep, refined = Nfc_refine.Refine.analyze ~rounds:refine c.Nfc_pdl.Pdl.checked in
               List.map
                 (Nfc_specint.Specint.apply_to_lint
-                   ~refine_rounds:res.Nfc_refine.Refine.rounds_used
-                   ~refine_notes:(Nfc_refine.Refine.notes res)
-                   res.Nfc_refine.Refine.report)
+                   ?refine_rounds:(Option.map (fun r -> r.Nfc_refine.Refine.rounds_used) refined)
+                   ?refine_notes:(Option.map Nfc_refine.Refine.notes refined)
+                   rep)
                 results
-          | true, Some c ->
-              let rep = Nfc_specint.Specint.analyze c.Nfc_pdl.Pdl.checked in
-              List.map (Nfc_specint.Specint.apply_to_lint rep) results
           | _ -> results
         in
         let results =
@@ -1021,10 +1018,9 @@ let pdl_cmd =
            JSON carry the located R1 findings like any other finding. *)
         let static_report ck =
           if not analyze then (None, None)
-          else if refine > 0 then
-            let res = Nfc_refine.Refine.run ~rounds:refine ck in
-            (Some res.Nfc_refine.Refine.report, Some res)
-          else (Some (Nfc_specint.Specint.analyze ck), None)
+          else
+            let rep, refined = Nfc_refine.Refine.analyze ~rounds:refine ck in
+            (Some rep, refined)
         in
         let report ~ok ~name ~digest ~static:(static, refined) diags =
           List.iter (fun (d : Nfc_pdl.Diag.t) -> count d.Nfc_pdl.Diag.severity) diags;

@@ -79,9 +79,7 @@ let max_walk_hops = 512
 
 module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = struct
   type cfg = {
-    sender : P.sender;
     sid : int;
-    receiver : P.receiver;
     rid : int;
     tr : Opvec.t;
     rt : Opvec.t;
@@ -89,44 +87,30 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     delivered : int;
   }
 
-  let run ?(max_nodes = 200_000) ~submit_budget () =
-    (* Saturation hooks, memoised on the raw post-state's interned id so
-       each distinct state is normalised (and the result interned) once. *)
-    let norm_s =
-      match P.cover_norm_sender with
-      | None -> fun s sid -> (s, sid)
+  let run ?(checkpoint = ignore) ?(max_nodes = 200_000) ~submit_budget () =
+    (* Saturation hooks from id to id, memoised on the raw post-state's
+       id so each distinct state is normalised (and the result interned)
+       once. *)
+    let norm hook intern state_of =
+      match hook with
+      | None -> Fun.id
       | Some f ->
-          let memo : (int, P.sender * int) Hashtbl.t = Hashtbl.create 256 in
-          fun s sid ->
-            (match Hashtbl.find_opt memo sid with
-            | Some v -> v
+          let memo : (int, int) Hashtbl.t = Hashtbl.create 256 in
+          fun id ->
+            (match Hashtbl.find_opt memo id with
+            | Some id' -> id'
             | None ->
-                let s' = f ~budget:submit_budget s in
-                let v = (s', E.intern_sender s') in
-                Hashtbl.add memo sid v;
-                v)
+                let id' = intern (f ~budget:submit_budget (state_of id)) in
+                Hashtbl.add memo id id';
+                id')
     in
-    let norm_r =
-      match P.cover_norm_receiver with
-      | None -> fun r rid -> (r, rid)
-      | Some f ->
-          let memo : (int, P.receiver * int) Hashtbl.t = Hashtbl.create 256 in
-          fun r rid ->
-            (match Hashtbl.find_opt memo rid with
-            | Some v -> v
-            | None ->
-                let r' = f ~budget:submit_budget r in
-                let v = (r', E.intern_receiver r') in
-                Hashtbl.add memo rid v;
-                v)
-    in
+    let norm_s = norm P.cover_norm_sender E.intern_sender E.sender_of in
+    let norm_r = norm P.cover_norm_receiver E.intern_receiver E.receiver_of in
     let initial =
-      let s, sid = norm_s E.initial.E.sender E.initial.E.sid in
-      let r, rid = norm_r E.initial.E.receiver E.initial.E.rid in
+      let sid = norm_s E.initial.E.sid in
+      let rid = norm_r E.initial.E.rid in
       {
-        sender = s;
         sid;
-        receiver = r;
         rid;
         tr = Opvec.empty;
         rt = Opvec.empty;
@@ -159,7 +143,6 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     let store : (int * int * int * int, (Opvec.t * Opvec.t) list) Hashtbl.t =
       Hashtbl.create 1024
     in
-    let reps : (int * int * int * int, P.sender * P.receiver) Hashtbl.t = Hashtbl.create 1024 in
     let key c = (c.sid, c.rid, c.submitted, c.delivered) in
     let covered c =
       match Hashtbl.find_opt store (key c) with
@@ -170,8 +153,7 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
       let k = key c in
       let l = match Hashtbl.find_opt store k with Some l -> l | None -> [] in
       let l = List.filter (fun (tr, rt) -> not (Opvec.le tr c.tr && Opvec.le rt c.rt)) l in
-      Hashtbl.replace store k ((c.tr, c.rt) :: l);
-      if not (Hashtbl.mem reps k) then Hashtbl.add reps k (c.sender, c.receiver)
+      Hashtbl.replace store k ((c.tr, c.rt) :: l)
     in
     let phantom = ref false in
     let accelerations = ref 0 in
@@ -239,52 +221,39 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     let expand idx =
       let c = !nodes.(idx) in
       incr iterations;
+      if !iterations land 2047 = 0 then checkpoint ();
       (* User submission. *)
-      if c.submitted < submit_budget then begin
-        let s', sid' = E.step_submit c.sender c.sid in
-        let s', sid' = norm_s s' sid' in
-        push_cfg idx { c with sender = s'; sid = sid'; submitted = c.submitted + 1 }
-      end;
+      if c.submitted < submit_budget then
+        push_cfg idx { c with sid = norm_s (E.step_submit c.sid); submitted = c.submitted + 1 };
       (* Sender poll: capacity is unbounded here, every emission lands. *)
-      (let emit, s', sid' = E.step_sender_poll c.sender c.sid in
-       let s', sid' = norm_s s' sid' in
+      (let emit, sid = E.step_sender_poll c.sid in
+       let sid = norm_s sid in
        match emit with
-       | Some pkt ->
-           push_cfg idx
-             { c with sender = s'; sid = sid'; tr = Opvec.add c.tr (Pvec.Index.id E.pkts pkt) }
-       | None -> if sid' <> c.sid then push_cfg idx { c with sender = s'; sid = sid' });
+       | Some pkt -> push_cfg idx { c with sid; tr = Opvec.add c.tr (Pvec.Index.id E.pkts pkt) }
+       | None -> if sid <> c.sid then push_cfg idx { c with sid });
       (* Receiver poll.  A delivery past the submission count is the DL1
          phantom: record it as coverable but do not expand it — the gate
          keeps [delivered <= submitted] and the control space finite. *)
-      (let emit, r', rid' = E.step_receiver_poll c.receiver c.rid in
-       let r', rid' = norm_r r' rid' in
+      (let emit, rid = E.step_receiver_poll c.rid in
+       let rid = norm_r rid in
        match emit with
        | Some Spec.Rdeliver ->
            if c.delivered < c.submitted then
-             push_cfg idx { c with receiver = r'; rid = rid'; delivered = c.delivered + 1 }
+             push_cfg idx { c with rid; delivered = c.delivered + 1 }
            else phantom := true
        | Some (Spec.Rsend pkt) ->
-           push_cfg idx
-             { c with receiver = r'; rid = rid'; rt = Opvec.add c.rt (Pvec.Index.id E.pkts pkt) }
-       | None -> if rid' <> c.rid then push_cfg idx { c with receiver = r'; rid = rid' });
+           push_cfg idx { c with rid; rt = Opvec.add c.rt (Pvec.Index.id E.pkts pkt) }
+       | None -> if rid <> c.rid then push_cfg idx { c with rid });
       (* Adversarial delivery of any coverable in-transit packet (ω
          coordinates stay ω: one of arbitrarily many).  No drop moves —
          see the header comment. *)
       Pvec.Index.iter_by_value E.pkts (fun id ->
           match Opvec.remove_one c.tr id with
-          | Some tr' ->
-              let pkt = Pvec.Index.packet E.pkts id in
-              let r', rid' = E.step_data c.receiver c.rid pkt in
-              let r', rid' = norm_r r' rid' in
-              push_cfg idx { c with receiver = r'; rid = rid'; tr = tr' }
+          | Some tr -> push_cfg idx { c with rid = norm_r (E.step_data_id c.rid id); tr }
           | None -> ());
       Pvec.Index.iter_by_value E.pkts (fun id ->
           match Opvec.remove_one c.rt id with
-          | Some rt' ->
-              let pkt = Pvec.Index.packet E.pkts id in
-              let s', sid' = E.step_ack c.sender c.sid pkt in
-              let s', sid' = norm_s s' sid' in
-              push_cfg idx { c with sender = s'; sid = sid'; rt = rt' }
+          | Some rt -> push_cfg idx { c with sid = norm_s (E.step_ack_id c.sid id); rt }
           | None -> ())
     in
     insert initial;
@@ -323,20 +292,20 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     let stuck = ref 0 in
     let stuck_witness = ref None in
     Hashtbl.iter
-      (fun (sid, rid, sub, del) (s, r) ->
+      (fun (sid, rid, sub, del) _ ->
         if sub > del then begin
-          let semit, _, sid' = E.step_sender_poll s sid in
-          let remit, _, rid' = E.step_receiver_poll r rid in
+          let semit, sid' = E.step_sender_poll sid in
+          let remit, rid' = E.step_receiver_poll rid in
           if semit = None && sid' = sid && remit = None && rid' = rid then begin
             incr stuck;
             if !stuck_witness = None then
               stuck_witness :=
                 Some
                   (Format.asprintf "sender %a, receiver %a, %d message(s) pending" P.pp_sender
-                     s P.pp_receiver r (sub - del))
+                     (E.sender_of sid) P.pp_receiver (E.receiver_of rid) (sub - del))
           end
         end)
-      reps;
+      store;
     {
       converged;
       cover_size;
@@ -353,7 +322,7 @@ module Make (P : Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) = stru
     }
 end
 
-let run ?max_nodes ~submit_budget (proto : Spec.t) =
+let run ?checkpoint ?max_nodes ~submit_budget (proto : Spec.t) =
   let module P = (val proto) in
   let module C = Make (P) (Nfc_mcheck.Explore.Make (P)) in
-  C.run ?max_nodes ~submit_budget ()
+  C.run ?checkpoint ?max_nodes ~submit_budget ()

@@ -62,10 +62,19 @@ val stats_to_json : stats -> Nfc_util.Json.t
 module Make (P : Nfc_protocol.Spec.S) (E : module type of Nfc_mcheck.Explore.Make (P)) : sig
   (** Run the coverability fixpoint under the given submission budget.
       [max_nodes] (default 200_000) caps the Karp–Miller tree as a
-      divergence backstop. *)
-  val run : ?max_nodes:int -> submit_budget:int -> unit -> stats
+      divergence backstop.  [checkpoint] is called every 2,048
+      expansions, as {!Nfc_mcheck.Explore.Make.reachable_set} calls it
+      every ~2k dequeues: the cooperative cancellation hook, which may
+      raise to abort the fixpoint. *)
+  val run :
+    ?checkpoint:(unit -> unit) -> ?max_nodes:int -> submit_budget:int -> unit -> stats
 end
 
 (** [Make (P) (Explore.Make (P))]'s [run] on a fresh engine — what
     [nfc cover] and the service's [/v1/cover] run. *)
-val run : ?max_nodes:int -> submit_budget:int -> Nfc_protocol.Spec.t -> stats
+val run :
+  ?checkpoint:(unit -> unit) ->
+  ?max_nodes:int ->
+  submit_budget:int ->
+  Nfc_protocol.Spec.t ->
+  stats

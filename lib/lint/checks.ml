@@ -8,9 +8,6 @@ type config = {
   bounds : Explore.bounds;
   probe : Boundness.probe_bounds;
   max_probes : int;
-  fault_packets : int list;
-  max_probe_states : int;
-  max_witnesses : int;
   complete : bool;
   cover_max_nodes : int;
   checkpoint : unit -> unit;
@@ -26,12 +23,6 @@ let default_config =
        yields [boundness = None], never an understated bound). *)
     probe = { Boundness.max_nodes = 1_500; max_cost = 100 };
     max_probes = 400;
-    (* A negative value and a far-out-of-alphabet value: a legal non-FIFO
-       channel never invents packets, but input-enabledness (Section 2.1)
-       requires the automata to absorb them anyway. *)
-    fault_packets = [ -1; 1_000_003 ];
-    max_probe_states = 2_000;
-    max_witnesses = 3;
     complete = false;
     (* The cover's node cap is a divergence backstop, not an exploration
        budget: converging protocols finish orders of magnitude below it,
@@ -39,6 +30,15 @@ let default_config =
     cover_max_nodes = 200_000;
     checkpoint = (fun () -> ());
   }
+
+(* A negative value and a far-out-of-alphabet value: a legal non-FIFO
+   channel never invents packets, but input-enabledness (Section 2.1)
+   requires the automata to absorb them anyway. *)
+let fault_packets = [ -1; 1_000_003 ]
+
+let max_probe_states = 2_000
+let max_witnesses = 3
+let alpha_text s = "{" ^ String.concat ", " (List.map string_of_int (Iset.elements s)) ^ "}"
 
 (* Q1's input closure of one station over its interned ids: a BFS from
    [init] under [moves id push], stopped with [None] at the first id past
@@ -132,18 +132,14 @@ module Make (P : Spec.S) = struct
          emitted by the poll of a reached station state. *)
       let sid = E.sid g i and rid = E.rid g i in
       if Explore.Seen.first sid_seen sid then begin
-        let s = E.sender_of sid in
-        senders := s :: !senders;
-        match E.step_sender_poll s sid with
-        | Some p, _, _ -> atr := Iset.add p !atr
-        | None, _, _ -> ()
+        senders := sid :: !senders;
+        match E.step_sender_poll sid with Some p, _ -> atr := Iset.add p !atr | None, _ -> ()
       end;
       if Explore.Seen.first rid_seen rid then begin
-        let r = E.receiver_of rid in
-        receivers := r :: !receivers;
-        match E.step_receiver_poll r rid with
-        | Some (Spec.Rsend p), _, _ -> art := Iset.add p !art
-        | (Some Spec.Rdeliver | None), _, _ -> ()
+        receivers := rid :: !receivers;
+        match E.step_receiver_poll rid with
+        | Some (Spec.Rsend p), _ -> art := Iset.add p !art
+        | (Some Spec.Rdeliver | None), _ -> ()
       end
     done;
     let k_t = List.length !senders in
@@ -151,14 +147,11 @@ module Make (P : Spec.S) = struct
     let product = k_t * k_r in
     let alpha = Iset.union !atr !art in
     let n_alpha = Iset.cardinal alpha in
-    let alpha_text =
-      "{" ^ String.concat ", " (List.map string_of_int (Iset.elements alpha)) ^ "}"
-    in
     (* ------------------------------------------- H1: header budget *)
     (match P.header_bound with
     | Some k when n_alpha > k ->
         emit ~rule:"H1" ~severity:Diagnostic.Error
-          ~witness:("reachable alphabet " ^ alpha_text)
+          ~witness:("reachable alphabet " ^ alpha_text alpha)
           (spf "declares header_bound = %d but %d distinct packets are reachable" k
              n_alpha)
     | Some k ->
@@ -167,7 +160,7 @@ module Make (P : Spec.S) = struct
              n_alpha k)
     | None when not reach.E.truncated ->
         emit ~rule:"H1" ~severity:Diagnostic.Warning
-          ~witness:("reachable alphabet " ^ alpha_text)
+          ~witness:("reachable alphabet " ^ alpha_text alpha)
           (spf
              "declares unbounded headers, yet the fully explored space uses a finite alphabet of %d"
              n_alpha)
@@ -176,25 +169,28 @@ module Make (P : Spec.S) = struct
           (spf "unbounded headers declared; %d distinct packets in the truncated explored space"
              n_alpha));
     (* --------------------------------------- E1: input-enabledness *)
-    let probe_pkts = Iset.elements alpha @ cfg.fault_packets in
+    let probe_pkts = Iset.elements alpha @ fault_packets in
+    let by cmp state_of a b = cmp (state_of a) (state_of b) in
     List.iter
-      (fun s ->
+      (fun sid ->
+        let s = E.sender_of sid in
         List.iter (fun p -> ignore (G.on_ack s p)) probe_pkts;
         ignore (G.sender_poll s);
         try ignore (P.on_submit s)
         with e -> record "on_submit" None (Format.asprintf "%a" P.pp_sender s) e)
-      (List.sort P.compare_sender !senders);
+      (List.sort (by P.compare_sender E.sender_of) !senders);
     List.iter
-      (fun r ->
+      (fun rid ->
+        let r = E.receiver_of rid in
         List.iter (fun p -> ignore (G.on_data r p)) probe_pkts;
         ignore (G.receiver_poll r))
-      (List.sort P.compare_receiver !receivers);
+      (List.sort (by P.compare_receiver E.receiver_of) !receivers);
     let seen_ops = Hashtbl.create 8 in
     let shown = ref 0 in
     List.iter
       (fun (op, packet, state_text, exn_text) ->
         let key = (op, packet) in
-        if (not (Hashtbl.mem seen_ops key)) && !shown < cfg.max_witnesses then begin
+        if (not (Hashtbl.mem seen_ops key)) && !shown < max_witnesses then begin
           Hashtbl.add seen_ops key ();
           incr shown;
           let pkt_text =
@@ -286,35 +282,36 @@ module Make (P : Spec.S) = struct
        (the fault packets, suppressed poll emissions) step outside the
        memo, so [E.pkts], which the --complete cover iterates, stays as
        the reach left it. *)
-    let steps alpha step_id step intern =
+    let steps alpha step_id step =
       List.map
         (fun p ->
           let rec find i =
-            if i < 0 then fun x _ -> intern (step x p)
-            else if Pvec.Index.packet E.pkts i = p then fun x id -> snd (step_id x id i)
+            if i < 0 then fun id -> step id p
+            else if Pvec.Index.packet E.pkts i = p then fun id -> step_id id i
             else find (i - 1)
           in
           find (Pvec.Index.size E.pkts - 1))
-        (Iset.elements alpha @ cfg.fault_packets)
+        (Iset.elements alpha @ fault_packets)
     in
-    let acks = steps !art E.step_ack_id G.on_ack E.intern_sender in
-    let datas = steps !atr E.step_data_id G.on_data E.intern_receiver in
+    let acks =
+      steps !art E.step_ack_id (fun sid p -> E.intern_sender (G.on_ack (E.sender_of sid) p))
+    in
+    let datas =
+      steps !atr E.step_data_id (fun rid p -> E.intern_receiver (G.on_data (E.receiver_of rid) p))
+    in
     let sender_closure =
-      unreached_in_closure ~cap:cfg.max_probe_states ~reached:sid_seen E.initial.E.sid
+      unreached_in_closure ~cap:max_probe_states ~reached:sid_seen E.initial.E.sid
         (fun sid push ->
-          let s = E.sender_of sid in
-          let _, _, polled = E.step_sender_poll s sid in
-          push (snd (E.step_submit s sid));
+          let _, polled = E.step_sender_poll sid in
+          push (E.step_submit sid);
           push polled;
-          List.iter (fun ack -> push (ack s sid)) acks)
+          List.iter (fun ack -> push (ack sid)) acks)
     in
     let receiver_closure =
-      unreached_in_closure ~cap:cfg.max_probe_states ~reached:rid_seen E.initial.E.rid
+      unreached_in_closure ~cap:max_probe_states ~reached:rid_seen E.initial.E.rid
         (fun rid push ->
-          let r = E.receiver_of rid in
-          let _, _, polled = E.step_receiver_poll r rid in
-          push polled;
-          List.iter (fun data -> push (data r rid)) datas)
+          push (snd (E.step_receiver_poll rid));
+          List.iter (fun data -> push (data rid)) datas)
     in
     let report station = function
       | Some n when n > 0 && !polls_raised = 0 ->
@@ -334,7 +331,7 @@ module Make (P : Spec.S) = struct
       (fun (f : Sanitize.finding) ->
         emit ~rule:"S1" ~severity:Diagnostic.Error ?witness:f.Sanitize.witness
           (spf "[%s] %s" f.Sanitize.kind f.Sanitize.message))
-      (S.run ~max_states:cfg.max_probe_states ~fault_packets:cfg.fault_packets ());
+      (S.run ~max_states:max_probe_states ~fault_packets ());
     (* --------------------- C1: budget-free cover tier (--complete) *)
     (* The bounded verdicts above remain THE verdicts; a converged cover
        fixpoint can only *upgrade* their strength when it corroborates
@@ -352,7 +349,7 @@ module Make (P : Spec.S) = struct
     if cfg.complete then begin
       let module Cv = Nfc_absint.Cover.Make (G) (E) in
       let st =
-        Cv.run ~max_nodes:cfg.cover_max_nodes
+        Cv.run ~checkpoint:cfg.checkpoint ~max_nodes:cfg.cover_max_nodes
           ~submit_budget:cfg.bounds.Explore.submit_budget ()
       in
       cover_summary :=
@@ -383,11 +380,10 @@ module Make (P : Spec.S) = struct
         in
         let cover_tr = Iset.of_list st.Nfc_absint.Cover.alphabet_tr in
         let cover_rt = Iset.of_list st.Nfc_absint.Cover.alphabet_rt in
-        let alpha_set s = "{" ^ String.concat ", " (List.map string_of_int (Iset.elements s)) ^ "}" in
         corroborate "H1"
           (Iset.equal cover_tr !atr && Iset.equal cover_rt !art)
-          (spf "alphabet %s / %s" (alpha_set !atr) (alpha_set !art))
-          (spf "alphabet %s / %s" (alpha_set cover_tr) (alpha_set cover_rt));
+          (spf "alphabet %s / %s" (alpha_text !atr) (alpha_text !art))
+          (spf "alphabet %s / %s" (alpha_text cover_tr) (alpha_text cover_rt));
         corroborate "T1"
           (st.Nfc_absint.Cover.phantom_coverable = (reach.E.first_phantom <> None))
           (if reach.E.first_phantom <> None then "phantom reachable" else "no phantom")

@@ -31,7 +31,7 @@ module Make (P : Spec.S) = struct
 
   let spf = Printf.sprintf
 
-  let run ?(max_states = 500) ~fault_packets () =
+  let run ~max_states ~fault_packets () =
     let findings = ref [] in
     let seen_kinds = Hashtbl.create 8 in
     (* One finding per defect kind: a broken comparator fires on nearly

@@ -24,7 +24,7 @@ type finding = {
 val pp_finding : Format.formatter -> finding -> unit
 
 module Make (P : Nfc_protocol.Spec.S) : sig
-  (** [run ~fault_packets ()] returns the contract violations found
-      within a [max_states]-capped (default 500) closure per station. *)
-  val run : ?max_states:int -> fault_packets:int list -> unit -> finding list
+  (** [run ~max_states ~fault_packets ()] returns the contract
+      violations found within a [max_states]-capped closure per station. *)
+  val run : max_states:int -> fault_packets:int list -> unit -> finding list
 end

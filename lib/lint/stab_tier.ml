@@ -56,8 +56,8 @@ let diagnostics (r : Converge.report) =
 
 (** Analyze [spec] and merge the tier into [result] (diagnostics
     appended, [stabilization] provenance set). *)
-let apply ?(cfg = Converge.default_cfg) spec (result : Engine.result) =
-  let r = Converge.analyze spec cfg in
+let apply ?checkpoint ?(cfg = Converge.default_cfg) spec (result : Engine.result) =
+  let r = Converge.analyze ?checkpoint spec cfg in
   {
     result with
     Engine.diagnostics = result.Engine.diagnostics @ diagnostics r;

@@ -20,8 +20,10 @@ val diagnostics : Nfc_stab.Converge.report -> Diagnostic.t list
 (** Analyze [spec] ([cfg] defaults to
     {!Nfc_stab.Converge.default_cfg}) and merge the tier into the
     result: SS1/SS2 diagnostics appended, [stabilization] certificate
-    provenance set. *)
+    provenance set.  [checkpoint] is the cancellation hook of
+    {!Nfc_stab.Converge.analyze}; it may raise to abort the tier. *)
 val apply :
+  ?checkpoint:(unit -> unit) ->
   ?cfg:Nfc_stab.Converge.cfg ->
   Nfc_protocol.Spec.t ->
   Engine.result ->

@@ -82,42 +82,31 @@ module Make (P : Spec.S) = struct
               let dq = ref dq in
               let costless st = dq := Deque.push_front (cost, st) !dq in
               let fresh pkt ch = F.chan_add ch (Pvec.Index.id F.pkts pkt) in
-              match F.step_receiver_poll st.F.receiver st.F.rid with
-              | Some Spec.Rdeliver, _, _ -> Some cost (* Goal: a delivery is enabled. *)
-              | emit, r', rid' ->
+              match F.step_receiver_poll st.F.rid with
+              | Some Spec.Rdeliver, _ -> Some cost (* Goal: a delivery is enabled. *)
+              | emit, rid ->
                   (match emit with
-                  | Some (Spec.Rsend pkt) ->
-                      costless { st with receiver = r'; rid = rid'; rt = fresh pkt st.rt }
-                  | _ -> if rid' <> st.rid then costless { st with receiver = r'; rid = rid' });
-                  (match F.step_sender_poll st.sender st.sid with
-                  | Some pkt, s', sid' ->
-                      let st' = { st with sender = s'; sid = sid'; tr = fresh pkt st.tr } in
-                      dq := Deque.push_back (cost + 1, st') !dq
-                  | None, s', sid' ->
-                      if sid' <> st.sid then costless { st with sender = s'; sid = sid' });
+                  | Some (Spec.Rsend pkt) -> costless { st with rid; rt = fresh pkt st.rt }
+                  | _ -> if rid <> st.rid then costless { st with rid });
+                  (match F.step_sender_poll st.sid with
+                  | Some pkt, sid ->
+                      dq := Deque.push_back (cost + 1, { st with sid; tr = fresh pkt st.tr }) !dq
+                  | None, sid -> if sid <> st.sid then costless { st with sid });
                   for i = 0 to Pvec.Index.size F.pkts - 1 do
                     let p = Pvec.Index.nth_by_value F.pkts i in
                     let tr = F.chan_remove st.tr p in
-                    if tr >= 0 then begin
-                      let r', rid' = F.step_data_id st.receiver st.rid p in
-                      costless { st with receiver = r'; rid = rid'; tr }
-                    end
+                    if tr >= 0 then costless { st with rid = F.step_data_id st.rid p; tr }
                   done;
                   for i = 0 to Pvec.Index.size F.pkts - 1 do
                     let p = Pvec.Index.nth_by_value F.pkts i in
                     let rt = F.chan_remove st.rt p in
-                    if rt >= 0 then begin
-                      let s', sid' = F.step_ack_id st.sender st.sid p in
-                      costless { st with sender = s'; sid = sid'; rt }
-                    end
+                    if rt >= 0 then costless { st with sid = F.step_ack_id st.sid p; rt }
                   done;
                   loop !dq (n_visited + 1))
       in
       let start =
         {
-          F.sender;
-          sid = F.intern_sender sender;
-          receiver;
+          F.sid = F.intern_sender sender;
           rid = F.intern_receiver receiver;
           tr = F.chan_of_pvec Pvec.empty;
           rt = F.chan_of_pvec Pvec.empty;

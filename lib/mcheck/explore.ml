@@ -278,8 +278,9 @@ module Make (P : Spec.S) = struct
       r'
     end
 
-  (* Each interner also keeps its states by id, so a configuration can
-     be stored as ints and its states read back ({!node}). *)
+  (* Each interner also keeps its states by id: an id is the only handle
+     on a station state, and protocol code and printers read the value
+     back ([sender_of]). *)
   let with_states (type a) (intern : a -> int) : (a -> int) * (int -> a) =
     let states = ref [||] and n = ref 0 in
     ( (fun v ->
@@ -362,9 +363,7 @@ module Make (P : Spec.S) = struct
     end
 
   type config = {
-    sender : P.sender;
     sid : int;
-    receiver : P.receiver;
     rid : int;
     tr : int;
     rt : int;
@@ -376,20 +375,17 @@ module Make (P : Spec.S) = struct
      for inputs, rows indexed by packet id).  Spec transition functions
      are pure, so each distinct (state, input) pair is computed — and its
      result state interned — exactly once; afterwards a successor state
-     costs two array reads and returns the stored tuple, allocating
-     nothing.  An entry whose id is [-1] is not yet computed.  (For
-     instrumented specs that record exceptions, e.g. the linter's
-     partiality probe, each distinct failing pair is recorded once rather
-     than once per visit.) *)
-  let no_s = (P.sender_init, -1)
-  let no_r = (P.receiver_init, -1)
-  let no_spoll = (None, P.sender_init, -1)
-  let no_rpoll = (None, P.receiver_init, -1)
-  let submit_memo = ref (Array.make 16 no_s)
-  let spoll_memo = ref (Array.make 16 no_spoll)
-  let rpoll_memo = ref (Array.make 16 no_rpoll)
-  let ack_memo : (P.sender * int) array array ref = ref (Array.make 16 [||])
-  let data_memo : (P.receiver * int) array array ref = ref (Array.make 16 [||])
+     costs two array reads and allocates nothing.  A submit, ack or data
+     entry is the post-state's id, [-1] when not yet computed; a poll
+     entry pairs the emission with it.  (For instrumented specs that
+     record exceptions, e.g. the linter's partiality probe, each distinct
+     failing pair is recorded once rather than once per visit.) *)
+  let no_poll = (None, -1)
+  let submit_memo = ref (Array.make 16 (-1))
+  let spoll_memo = ref (Array.make 16 no_poll)
+  let rpoll_memo = ref (Array.make 16 no_poll)
+  let ack_memo : int array array ref = ref (Array.make 16 [||])
+  let data_memo : int array array ref = ref (Array.make 16 [||])
 
   let store memo i none v =
     reserve memo i none;
@@ -400,53 +396,43 @@ module Make (P : Spec.S) = struct
      packet index) so sibling analyses over the same interned state space —
      the coverability engine of {!Nfc_absint.Cover} — share these memo
      tables instead of re-running protocol code. *)
-  let step_submit s sid =
+  let step_submit sid =
     let m = !submit_memo in
-    if sid < Array.length m && snd m.(sid) >= 0 then m.(sid)
-    else
-      let s' = P.on_submit s in
-      store submit_memo sid no_s (s', intern_sender s')
+    if sid < Array.length m && m.(sid) >= 0 then m.(sid)
+    else store submit_memo sid (-1) (intern_sender (P.on_submit (sender_of sid)))
 
-  let step_sender_poll s sid =
+  let step_sender_poll sid =
     let m = !spoll_memo in
-    match if sid < Array.length m then m.(sid) else no_spoll with
-    | (_, _, id) as v when id >= 0 -> v
+    match if sid < Array.length m then m.(sid) else no_poll with
+    | (_, id) as v when id >= 0 -> v
     | _ ->
-        let emit, s' = P.sender_poll s in
-        store spoll_memo sid no_spoll (emit, s', intern_sender s')
+        let emit, s' = P.sender_poll (sender_of sid) in
+        store spoll_memo sid no_poll (emit, intern_sender s')
 
-  let step_receiver_poll r rid =
+  let step_receiver_poll rid =
     let m = !rpoll_memo in
-    match if rid < Array.length m then m.(rid) else no_rpoll with
-    | (_, _, id) as v when id >= 0 -> v
+    match if rid < Array.length m then m.(rid) else no_poll with
+    | (_, id) as v when id >= 0 -> v
     | _ ->
-        let emit, r' = P.receiver_poll r in
-        store rpoll_memo rid no_rpoll (emit, r', intern_receiver r')
+        let emit, r' = P.receiver_poll (receiver_of rid) in
+        store rpoll_memo rid no_poll (emit, intern_receiver r')
 
-  let step_ack_id s sid p =
-    let rows = !ack_memo in
-    let r = if sid < Array.length rows then rows.(sid) else [||] in
-    if p < Array.length r && snd r.(p) >= 0 then r.(p)
+  (* [step_input memo step intern of_id id p]: the memoised input step
+     of station [id] on packet id [p]. *)
+  let step_input memo step intern of_id id p =
+    let rows = !memo in
+    let r = if id < Array.length rows then rows.(id) else [||] in
+    if p < Array.length r && r.(p) >= 0 then r.(p)
     else begin
-      let s' = P.on_ack s (Pvec.Index.packet pkts p) in
-      let v = (s', intern_sender s') in
-      (row ack_memo sid p no_s).(p) <- v;
-      v
+      let id' = intern (step (of_id id) (Pvec.Index.packet pkts p)) in
+      (row memo id p (-1)).(p) <- id';
+      id'
     end
 
-  let step_data_id r rid p =
-    let rows = !data_memo in
-    let m = if rid < Array.length rows then rows.(rid) else [||] in
-    if p < Array.length m && snd m.(p) >= 0 then m.(p)
-    else begin
-      let r' = P.on_data r (Pvec.Index.packet pkts p) in
-      let v = (r', intern_receiver r') in
-      (row data_memo rid p no_r).(p) <- v;
-      v
-    end
-
-  let step_ack s sid pkt = step_ack_id s sid (Pvec.Index.id pkts pkt)
-  let step_data r rid pkt = step_data_id r rid (Pvec.Index.id pkts pkt)
+  let step_ack_id sid p = step_input ack_memo P.on_ack intern_sender sender_of sid p
+  let step_data_id rid p = step_input data_memo P.on_data intern_receiver receiver_of rid p
+  let step_ack sid pkt = step_ack_id sid (Pvec.Index.id pkts pkt)
+  let step_data rid pkt = step_data_id rid (Pvec.Index.id pkts pkt)
 
   (* Move labels are shared, not rebuilt per edge: per packet id the six
      channel labels, per counter value the message labels. *)
@@ -505,9 +491,7 @@ module Make (P : Spec.S) = struct
 
   let initial =
     {
-      sender = P.sender_init;
       sid = intern_sender P.sender_init;
-      receiver = P.receiver_init;
       rid = intern_receiver P.receiver_init;
       tr = chan_empty;
       rt = chan_empty;
@@ -522,20 +506,9 @@ module Make (P : Spec.S) = struct
   let packets_tr c = chan_packets c.tr
   let packets_rt c = chan_packets c.rt
 
-  (* A configuration from its six ints: the states are read back from
-     the interners.  The kernel itself never builds one; records exist
-     only where the API hands configurations out. *)
-  let config_of sid rid tr rt submitted delivered =
-    {
-      sender = sender_of sid;
-      sid;
-      receiver = receiver_of rid;
-      rid;
-      tr;
-      rt;
-      submitted;
-      delivered;
-    }
+  (* The kernel itself never builds a record; records exist only where
+     the API hands configurations out. *)
+  let config_of sid rid tr rt submitted delivered = { sid; rid; tr; rt; submitted; delivered }
 
   (* Successors with the action that labels the move ([None] = silent),
      each passed to [push] as the six ints of its configuration.
@@ -548,13 +521,12 @@ module Make (P : Spec.S) = struct
   let iter_succ ?(deliver_valid_only = false) bounds sid rid tr rt sub del push =
     (* User submission. *)
     if sub < bounds.submit_budget then begin
-      let _, sid' = step_submit (sender_of sid) sid in
       push
         (msg_label send_msg_labels (fun n -> Action.Send_msg n) sub)
-        sid' rid tr rt (sub + 1) del
+        (step_submit sid) rid tr rt (sub + 1) del
     end;
     (* Sender poll: emission or silent tick. *)
-    (let emit, _, sid' = step_sender_poll (sender_of sid) sid in
+    (let emit, sid' = step_sender_poll sid in
      match emit with
      | Some pkt ->
          if chan_card tr < bounds.capacity_tr then begin
@@ -562,11 +534,11 @@ module Make (P : Spec.S) = struct
            push (labels p).send_tr sid' rid (chan_add tr p) rt sub del
          end
      | None ->
-         (* Interned-id equality is comparator equality, so this is the old
-            [P.compare_sender s' c.sender <> 0] silent-tick test. *)
+         (* Interned-id equality is comparator equality, so this is the
+            silent-tick test [P.compare_sender s' s <> 0]. *)
          if sid' <> sid then push None sid' rid tr rt sub del);
     (* Receiver poll: delivery, reverse send, or silent tick. *)
-    (let emit, _, rid' = step_receiver_poll (receiver_of rid) rid in
+    (let emit, rid' = step_receiver_poll rid in
      match emit with
      | Some Spec.Rdeliver ->
          if (not deliver_valid_only) || del < sub then
@@ -587,8 +559,7 @@ module Make (P : Spec.S) = struct
         let p = Pvec.Index.nth_by_value pkts i in
         let tr' = chan_remove tr p in
         if tr' >= 0 then begin
-          let _, rid' = step_data_id (receiver_of rid) rid p in
-          push (labels p).recv_tr sid rid' tr' rt sub del;
+          push (labels p).recv_tr sid (step_data_id rid p) tr' rt sub del;
           if bounds.allow_drop then push (labels p).drop_tr sid rid tr' rt sub del
         end
       done
@@ -598,8 +569,7 @@ module Make (P : Spec.S) = struct
         let p = Pvec.Index.nth_by_value pkts i in
         let rt' = chan_remove rt p in
         if rt' >= 0 then begin
-          let _, sid' = step_ack_id (sender_of sid) sid p in
-          push (labels p).recv_rt sid' rid tr rt' sub del;
+          push (labels p).recv_rt (step_ack_id sid p) rid tr rt' sub del;
           if bounds.allow_drop then push (labels p).drop_rt sid rid tr rt' sub del
         end
       done

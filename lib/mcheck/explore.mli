@@ -24,9 +24,12 @@
     ints in small chunks under dense ids and indexes them with an
     open-addressed table that starts small and doubles with the graph.
     The successor relation hands the kernel ints, every transition —
-    station steps, channel adds and removals — is a memo read keyed by
-    ids, and a {!Make.config} record is built only where the API hands
-    one out ({!Make.node}, {!Make.configs}, witnesses, monitors).
+    station steps, channel adds and removals — is a memo read from ids
+    to ids, and a {!Make.config} record, the same six ints and no state
+    value, is built only where the API hands one out ({!Make.node},
+    {!Make.configs}, seeds, witnesses, monitors).  A station state's
+    value is read back ({!Make.sender_of}) only by protocol code and
+    printers.
     Channel moves are still enumerated in increasing packet-value order,
     so BFS order — and hence every counterexample, statistic, and report —
     is identical to the tree-based engine's (retained as {!Reference} for
@@ -148,10 +151,8 @@ end
     [Make] again. *)
 module Make (P : Nfc_protocol.Spec.S) : sig
   type config = {
-    sender : P.sender;
-    sid : int;  (** interned id of [sender] (comparator equality) *)
-    receiver : P.receiver;
-    rid : int;
+    sid : int;  (** interned sender state: {!sender_of} reads it back *)
+    rid : int;  (** interned receiver state, likewise {!receiver_of} *)
     tr : int;  (** packets in transit t->r, as an interned channel id ({!chan}) *)
     rt : int;  (** packets in transit r->t, likewise *)
     submitted : int;
@@ -183,7 +184,9 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   val chan_remove : int -> int -> int
 
   (** The state interners (dense ids in first-sight order; id equality is
-      comparator equality). *)
+      comparator equality).  An id is the only handle on a station state
+      outside the interner: configurations and steps carry ids, and the
+      value is read back only where protocol code or a printer needs it. *)
   val intern_sender : P.sender -> int
 
   val intern_receiver : P.receiver -> int
@@ -193,24 +196,21 @@ module Make (P : Nfc_protocol.Spec.S) : sig
 
   val receiver_of : int -> P.receiver
 
-  (** Memoised single-step transitions in arrays indexed by interned
-      ids: each distinct (state, input) pair runs protocol code once,
-      engine-wide — including calls made by sibling analyses sharing this
-      instance.  [step_submit s sid] requires [sid = intern_sender s] (and
-      so on); the returned int is the interned id of the post-state.
-      [step_ack_id]/[step_data_id] take the input's packet id;
-      [step_ack]/[step_data] take its packet value. *)
-  val step_submit : P.sender -> int -> P.sender * int
+  (** Memoised single-step transitions from a station id to the id of
+      its post-state, in arrays indexed by interned ids: each distinct
+      (state, input) pair runs protocol code once, engine-wide —
+      including calls made by sibling analyses sharing this instance.
+      The polls also return their emission.  [step_ack_id sid p] and
+      [step_data_id rid p] take the input's packet id; [step_ack] and
+      [step_data] take its packet value (interning it). *)
+  val step_submit : int -> int
 
-  val step_sender_poll : P.sender -> int -> int option * P.sender * int
-
-  val step_receiver_poll :
-    P.receiver -> int -> Nfc_protocol.Spec.remit option * P.receiver * int
-
-  val step_ack_id : P.sender -> int -> int -> P.sender * int
-  val step_data_id : P.receiver -> int -> int -> P.receiver * int
-  val step_ack : P.sender -> int -> int -> P.sender * int
-  val step_data : P.receiver -> int -> int -> P.receiver * int
+  val step_sender_poll : int -> int option * int
+  val step_receiver_poll : int -> Nfc_protocol.Spec.remit option * int
+  val step_ack_id : int -> int -> int
+  val step_data_id : int -> int -> int
+  val step_ack : int -> int -> int
+  val step_data : int -> int -> int
 
   (** In-transit packets of a configuration as a (packet value, count)
       association list sorted by packet value — the decoded view of the

@@ -190,8 +190,8 @@ let run ?(rounds = default_rounds) ?(replay_bounds = default_replay_bounds)
   let (module P : Compile.SPEC_PROBED) = Compile.to_spec_probed ck in
   let module E = Explore.Make (P) in
   let slot_of w (cfg : E.config) =
-    if w.Flow.wstation = "sender" then P.sender_slot w.Flow.wslot cfg.E.sender
-    else P.receiver_slot w.Flow.wslot cfg.E.receiver
+    if w.Flow.wstation = "sender" then P.sender_slot w.Flow.wslot (E.sender_of cfg.E.sid)
+    else P.receiver_slot w.Flow.wslot (E.receiver_of cfg.E.rid)
   in
   let base_flow = Flow.run ck in
   let base = Specint.of_flow ck base_flow in
@@ -310,6 +310,15 @@ let run ?(rounds = default_rounds) ?(replay_bounds = default_replay_bounds)
     rounds = List.rev !round_logs;
     refuted;
   }
+
+(* The static report of [ck], refined by up to [rounds] CEGAR rounds
+   when [rounds > 0] — then the refinement result rides along — and the
+   one-shot {!Specint.analyze} report otherwise. *)
+let analyze ~rounds ck =
+  if rounds > 0 then
+    let res = run ~rounds ck in
+    (res.report, Some res)
+  else (Specint.analyze ck, None)
 
 (* ---- rendering ------------------------------------------------------- *)
 

@@ -156,7 +156,11 @@ let lint ctx : Router.handler =
                 let result = Nfc_lint.Engine.run cfg proto in
                 (* The stabilization tier runs at its own bounds — see
                    [Nfc_lint.Stab_tier]. *)
-                let result = if stab then Nfc_lint.Stab_tier.apply proto result else result in
+                let result =
+                  if stab then
+                    Nfc_lint.Stab_tier.apply ~checkpoint:cfg.Nfc_lint.Checks.checkpoint proto result
+                  else result
+                in
                 (* One line of [nfc lint --json], sans the newline. *)
                 chomp (Nfc_lint.Report.jsonl [ result ])))))
 
@@ -267,7 +271,9 @@ let cover ctx : Router.handler =
             check_cancelled cancelled;
             let key = Printf.sprintf "cover submits=%d nodes=%d" submits nodes in
             Cache.memo ctx.cache ~protocol ~key (fun () ->
-                Nfc_absint.Cover.run proto ~submit_budget:submits ~max_nodes:nodes
+                Nfc_absint.Cover.run proto
+                  ~checkpoint:(fun () -> check_cancelled cancelled)
+                  ~submit_budget:submits ~max_nodes:nodes
                 |> Nfc_absint.Cover.stats_to_json |> J.to_string))))
 
 (* ------------------------------------------------- submitted protocols *)
@@ -336,12 +342,7 @@ let protocol_submit ctx : Router.handler =
                both the 422 and the success response carry the per-round
                "refine" log. *)
             let rep, refined =
-              if refine > 0 then
-                let res =
-                  Nfc_refine.Refine.run ~rounds:refine c.Nfc_pdl.Pdl.checked
-                in
-                (res.Nfc_refine.Refine.report, Some res)
-              else (Nfc_specint.Specint.analyze c.Nfc_pdl.Pdl.checked, None)
+              Nfc_refine.Refine.analyze ~rounds:refine c.Nfc_pdl.Pdl.checked
             in
             let refine_json =
               match refined with

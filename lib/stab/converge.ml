@@ -92,7 +92,7 @@ type report = {
   ss2_convergence : convergence option;  (** the dup-exit re-convergence run *)
 }
 
-let analyze (spec : Spec.t) cfg =
+let analyze ?checkpoint (spec : Spec.t) cfg =
   let module P = (val spec : Spec.S) in
   let module E = Explore.Make (P) in
   if cfg.bounds.Explore.max_nodes < 1 then invalid_arg "Converge.analyze: max_nodes must be >= 1";
@@ -103,7 +103,7 @@ let analyze (spec : Spec.t) cfg =
     { cfg.bounds with Explore.submit_budget = 0; max_nodes = cfg.recovery_nodes }
   in
   (* 1. The legitimate set. *)
-  let lreach = E.reachable_set cfg.bounds in
+  let lreach = E.reachable_set ?checkpoint cfg.bounds in
   let lg = lreach.E.graph in
   let n_legit = E.size lg in
   let legit_closed = not lreach.E.truncated in
@@ -117,20 +117,20 @@ let analyze (spec : Spec.t) cfg =
   (* 2. Observed station states (first-occurrence order in the
      deterministic BFS order of the legitimate graph) and the observed
      channel alphabet (value order). *)
-  let collect_states id_of state_of =
+  let collect_states id_of =
     let seen = Explore.Seen.create () in
     let out = ref [] and total = ref 0 in
     for i = 0 to n_legit - 1 do
       let id = id_of lg i in
       if Explore.Seen.first seen id then begin
         incr total;
-        if !total <= cfg.state_cap then out := (state_of id, id) :: !out
+        if !total <= cfg.state_cap then out := id :: !out
       end
     done;
     (List.rev !out, !total)
   in
-  let senders, n_senders = collect_states E.sid E.sender_of in
-  let receivers, n_receivers = collect_states E.rid E.receiver_of in
+  let senders, n_senders = collect_states E.sid in
+  let receivers, n_receivers = collect_states E.rid in
   let states_clamped = n_senders > cfg.state_cap || n_receivers > cfg.state_cap in
   let alphabet =
     (* Decode each distinct channel id once, not each configuration. *)
@@ -176,18 +176,16 @@ let analyze (spec : Spec.t) cfg =
     let out = ref [] and count = ref 0 in
     (try
        List.iter
-         (fun (s, sid) ->
+         (fun sid ->
            List.iter
-             (fun (r, rid) ->
+             (fun rid ->
                List.iter
                  (fun tr ->
                    List.iter
                      (fun rt ->
                        if !count >= cfg.max_starts then raise Exit;
                        incr count;
-                       out :=
-                         { E.sender = s; sid; receiver = r; rid; tr; rt; submitted = 0; delivered = 0 }
-                         :: !out)
+                       out := { E.sid; rid; tr; rt; submitted = 0; delivered = 0 } :: !out)
                      msets_rt)
                  msets_tr)
              receivers)
@@ -203,8 +201,8 @@ let analyze (spec : Spec.t) cfg =
         (fun ppf (v, n) -> if n = 1 then Format.fprintf ppf "%d" v else Format.fprintf ppf "%dx%d" v n)
         ppf pkts
     in
-    Format.asprintf "sender=%a receiver=%a tr=[%a] rt=[%a]" P.pp_sender c.E.sender P.pp_receiver
-      c.E.receiver pp_chan (E.packets_tr c) pp_chan (E.packets_rt c)
+    Format.asprintf "sender=%a receiver=%a tr=[%a] rt=[%a]" P.pp_sender (E.sender_of c.E.sid)
+      P.pp_receiver (E.receiver_of c.E.rid) pp_chan (E.packets_tr c) pp_chan (E.packets_rt c)
   in
   (* One multi-seed convergence measurement: forward recovery sweep from
      the seeds, keeping predecessors, then distance-to-L by the kernel's
@@ -214,7 +212,9 @@ let analyze (spec : Spec.t) cfg =
      only when the sweep was not truncated. *)
   let measure seeds =
     let n_seeds = List.length seeds in
-    let g = E.explore ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds rbounds in
+    let g =
+      E.explore ?checkpoint ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds rbounds
+    in
     let n = E.size g in
     let dist =
       E.distances_to g (fun i -> legitimate (E.sid g i) (E.rid g i) (E.tr g i) (E.rt g i))
@@ -338,28 +338,17 @@ let analyze (spec : Spec.t) cfg =
             && Explore.Table.find seen sid rid tr rt 0 0 < 0
           then begin
             ignore (Explore.Table.add seen sid rid tr rt 0 0);
-            out :=
-              {
-                E.sender = E.sender_of sid;
-                sid;
-                receiver = E.receiver_of rid;
-                rid;
-                tr;
-                rt;
-                submitted = 0;
-                delivered = 0;
-              }
-              :: !out
+            out := { E.sid; rid; tr; rt; submitted = 0; delivered = 0 } :: !out
           end
         in
         List.iter
           (fun (v, _) ->
-            let _, rid' = E.step_data (E.receiver_of rid) rid v in
+            let rid' = E.step_data rid v in
             if rid' <> rid then consider sid rid')
           (E.chan_packets tr);
         List.iter
           (fun (v, _) ->
-            let _, sid' = E.step_ack (E.sender_of sid) sid v in
+            let sid' = E.step_ack sid v in
             if sid' <> sid then consider sid' rid)
           (E.chan_packets rt)
       done;

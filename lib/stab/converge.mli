@@ -74,8 +74,11 @@ type report = {
 
 (** Run the full analysis.  Raises [Invalid_argument] when a budget in
     [cfg] ([bounds.max_nodes], [state_cap], [max_starts],
-    [recovery_nodes]) is below 1. *)
-val analyze : Nfc_protocol.Spec.t -> cfg -> report
+    [recovery_nodes]) is below 1.  [checkpoint] rides into the
+    legitimate sweep and every recovery sweep, called every ~2k dequeues
+    as by {!Nfc_mcheck.Explore.Make.reachable_set}; it may raise to
+    abort the analysis. *)
+val analyze : ?checkpoint:(unit -> unit) -> Nfc_protocol.Spec.t -> cfg -> report
 
 (** The certified SS1 convergence bound — [Some] exactly when SS1 passed. *)
 val convergence_bound : report -> int option

@@ -1,9 +1,9 @@
 #!/bin/sh
 # End-to-end smoke of `nfc serve` against the real binary: boot on an
 # ephemeral port, submit jobs over HTTP, compare the served lint verdict
-# byte-for-byte with the CLI's, exercise the 429 backpressure path, check
-# /metrics exposes the queue and latency series, and finish with a
-# loadgen storm (exit 2 there means a dropped request).
+# byte-for-byte with the CLI's, cancel a running cover, exercise the 429
+# backpressure path, check /metrics exposes the queue and latency series,
+# and finish with a loadgen storm (exit 2 there means a dropped request).
 set -eu
 
 NFC=${NFC:-_build/default/bin/nfc.exe}
@@ -36,6 +36,18 @@ base="http://127.0.0.1:$port"
 
 curl -fsS "$base/healthz" >/dev/null
 
+# Poll job $1 to a terminal state (30 s at most), leaving it in $state.
+poll_state() {
+  state=""
+  i=0
+  while [ $i -lt 300 ]; do
+    state=$(curl -fsS "$base/v1/jobs/$1" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
+    case "$state" in done | failed | cancelled) break ;; esac
+    sleep 0.1
+    i=$((i + 1))
+  done
+}
+
 # Submit a lint job and poll it to a terminal state.
 id=$(curl -fsS -X POST "$base/v1/lint" \
   -d '{"protocol":"stop-and-wait","nodes":20000}' |
@@ -44,14 +56,7 @@ if [ -z "$id" ]; then
   echo "serve-smoke: submit returned no job id"
   exit 1
 fi
-state=""
-i=0
-while [ $i -lt 300 ]; do
-  state=$(curl -fsS "$base/v1/jobs/$id" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-  case "$state" in done | failed | cancelled) break ;; esac
-  sleep 0.1
-  i=$((i + 1))
-done
+poll_state "$id"
 if [ "$state" != done ]; then
   echo "serve-smoke: lint job ended '$state'"
   exit 1
@@ -79,14 +84,7 @@ fi
 pid_id=$(curl -fsS -X POST "$base/v1/lint" \
   -d "{\"protocol\":\"$handle\",\"nodes\":20000}" |
   sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
-state=""
-i=0
-while [ $i -lt 300 ]; do
-  state=$(curl -fsS "$base/v1/jobs/$pid_id" | sed -n 's/.*"state":"\([^"]*\)".*/\1/p')
-  case "$state" in done | failed | cancelled) break ;; esac
-  sleep 0.1
-  i=$((i + 1))
-done
+poll_state "$pid_id"
 if [ "$state" != done ]; then
   echo "serve-smoke: pdl lint job ended '$state'"
   exit 1
@@ -98,6 +96,40 @@ if ! cmp -s "$out/served-pdl.json" "$out/cli-pdl.json"; then
   diff "$out/served-pdl.json" "$out/cli-pdl.json" || true
   exit 1
 fi
+
+# Cancellation reaches the cover fixpoint: the flood cover runs to its
+# 200k-node cap, so a DELETE once it is inside the analysis (its memo
+# lookup counted) must end it `cancelled` having memoized nothing, and
+# the same request again must miss the memo rather than hit it.
+cache_count() {
+  n=$(curl -fsS "$base/metrics" |
+    sed -n "s/^nfc_cache_requests_total{result=\"$1\"} \([0-9]*\).*/\1/p")
+  echo "${n:-0}"
+}
+cancel_running_cover() {
+  misses=$(cache_count miss)
+  hits=$(cache_count hit)
+  cid=$(curl -fsS -X POST "$base/v1/cover" -d '{"protocol":"flood"}' |
+    sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+  i=0
+  while [ $i -lt 300 ] && [ "$(cache_count miss)" -le "$misses" ] &&
+    [ "$(cache_count hit)" -le "$hits" ]; do
+    sleep 0.05
+    i=$((i + 1))
+  done
+  if [ "$(cache_count hit)" -ne "$hits" ]; then
+    echo "serve-smoke: flood cover hit the memo after an earlier cancellation"
+    exit 1
+  fi
+  curl -fsS -X DELETE "$base/v1/jobs/$cid" >/dev/null
+  poll_state "$cid"
+  if [ "$state" != cancelled ]; then
+    echo "serve-smoke: cancelled flood cover ended '$state'"
+    exit 1
+  fi
+}
+cancel_running_cover
+cancel_running_cover
 
 # Backpressure: flood the depth-2 queue with slow fuzz jobs; expect at
 # least one 429 and nothing but 202/429 at admission.
@@ -139,4 +171,4 @@ cat "$out/loadgen.txt"
 kill "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
-echo "serve-smoke: ok (byte-identical verdicts incl. submitted PDL spec, 429 path, metrics, loadgen clean)"
+echo "serve-smoke: ok (byte-identical verdicts incl. submitted PDL spec, running cover cancelled, 429 path, metrics, loadgen clean)"

@@ -232,6 +232,30 @@ let qsuite =
       prop_add_remove;
     ]
 
+(* The cancellation hook: a counting checkpoint leaves the flood cover's
+   stats alone and is called once per 2,048 expansions; a raising one
+   escapes from the diverging fixpoint at its first call. *)
+let test_cover_checkpoint () =
+  let flood = Nfc_protocol.Flood.make () in
+  let plain = Cover.run ~max_nodes:20_000 ~submit_budget:3 flood in
+  let calls = ref 0 in
+  let counted =
+    Cover.run ~checkpoint:(fun () -> incr calls) ~max_nodes:20_000 ~submit_budget:3 flood
+  in
+  checkb "counting checkpoint leaves the stats alone" true (counted = plain);
+  checki "one call per 2048 expansions" (plain.Cover.iterations / 2048) !calls;
+  checkb "the cover expands past one checkpoint period" true (!calls > 0);
+  let calls = ref 0 in
+  match
+    Cover.run
+      ~checkpoint:(fun () ->
+        incr calls;
+        raise Exit)
+      ~submit_budget:3 flood
+  with
+  | _ -> Alcotest.fail "the cover ignored a raising checkpoint"
+  | exception Exit -> checki "aborted at the first checkpoint" 1 !calls
+
 let suite =
   [
     ("of_pvec counts agree", `Quick, test_of_pvec_consistent);
@@ -241,5 +265,6 @@ let suite =
     ("registry certifies mostly complete", `Slow, test_registry_mostly_complete);
     ("flooding protocols downgrade loudly", `Slow, test_flooding_protocols_downgrade);
     ("verdicts identical to the bounded run", `Slow, test_verdicts_identical_to_bounded_run);
+    ("cover checkpoint counts and aborts", `Quick, test_cover_checkpoint);
   ]
   @ qsuite

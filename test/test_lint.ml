@@ -136,8 +136,8 @@ let census proto (bounds : Nfc_mcheck.Explore.bounds) =
   end) in
   let module Is = Set.Make (Int) in
   let configs = E.configs (E.reachable_set bounds) in
-  let senders = Ss.of_list (List.map (fun (c : E.config) -> c.E.sender) configs) in
-  let receivers = Rs.of_list (List.map (fun (c : E.config) -> c.E.receiver) configs) in
+  let senders = Ss.of_list (List.map (fun (c : E.config) -> E.sender_of c.E.sid) configs) in
+  let receivers = Rs.of_list (List.map (fun (c : E.config) -> E.receiver_of c.E.rid) configs) in
   let packets chan = List.concat_map (fun c -> List.map fst (chan c)) configs in
   let tr =
     Ss.fold
@@ -356,7 +356,7 @@ let reference_closures proto (cfg : Checks.config) (c : Certificate.t) =
         List.iter
           (fun s ->
             if not (S.mem s !seen) then begin
-              if S.cardinal !seen >= cfg.Checks.max_probe_states then raise Exit;
+              if S.cardinal !seen >= Checks.max_probe_states then raise Exit;
               seen := S.add s !seen;
               Queue.push s queue
             end)
@@ -367,16 +367,16 @@ let reference_closures proto (cfg : Checks.config) (c : Certificate.t) =
     | exception Exit -> Capped
     | exception _ -> Raised
   in
-  let acks = c.Certificate.alphabet_rt @ cfg.Checks.fault_packets in
-  let datas = c.Certificate.alphabet_tr @ cfg.Checks.fault_packets in
+  let acks = c.Certificate.alphabet_rt @ Checks.fault_packets in
+  let datas = c.Certificate.alphabet_tr @ Checks.fault_packets in
   let total f x p = try f x p with _ -> x in
   ( closure (module Ss) P.sender_init
       (fun s ->
         P.on_submit s :: snd (P.sender_poll s) :: List.map (total P.on_ack s) acks)
-      (List.map (fun (c : E.config) -> c.E.sender) configs),
+      (List.map (fun (c : E.config) -> E.sender_of c.E.sid) configs),
     closure (module Rs) P.receiver_init
       (fun r -> snd (P.receiver_poll r) :: List.map (total P.on_data r) datas)
-      (List.map (fun (c : E.config) -> c.E.receiver) configs) )
+      (List.map (fun (c : E.config) -> E.receiver_of c.E.rid) configs) )
 
 let expected_lines (senders, receivers) =
   List.filter_map
@@ -511,7 +511,7 @@ let test_e1_probes_every_reached_state () =
   let r = Engine.run cfg (module Late_partial : Spec.S) in
   checki "k_t spans every tick" 2101 r.Engine.certificate.Certificate.k_t;
   checkb "more reached states than the closure cap" true
-    (r.Engine.certificate.Certificate.k_t > cfg.Checks.max_probe_states);
+    (r.Engine.certificate.Certificate.k_t > Checks.max_probe_states);
   match List.find_opt (fun (d : Diagnostic.t) -> d.Diagnostic.rule = "E1") r.Engine.diagnostics with
   | Some d ->
       checkb "E1 is an error" true (d.Diagnostic.severity = Diagnostic.Error);
@@ -549,6 +549,22 @@ let test_e1_reports_raising_polls () =
   checkb "sender_poll witness" true (names {|sender_poll in state 3 raised Failure("poll3")|});
   checkb "receiver_poll witness" true (names {|receiver_poll in state () raised Failure("rpoll")|})
 
+(* The stab tier's cancellation hook reaches the recovery sweeps: a
+   raising checkpoint escapes [Stab_tier.apply], after being called. *)
+let test_stab_tier_checkpoint () =
+  let stab_arq = Nfc_protocol.Stab_arq.make () in
+  let result = Engine.run small_cfg stab_arq in
+  let calls = ref 0 in
+  match
+    Stab_tier.apply
+      ~checkpoint:(fun () ->
+        incr calls;
+        raise Exit)
+      stab_arq result
+  with
+  | _ -> Alcotest.fail "the stab tier ignored a raising checkpoint"
+  | exception Exit -> checki "aborted at the first checkpoint" 1 !calls
+
 let suite =
   [
     ("registry lints clean", `Quick, test_registry_clean);
@@ -568,4 +584,5 @@ let suite =
     ("Q1 silent when the closure raises", `Quick, test_q1_raising_closure_silent);
     ("E1 probes every reached station state", `Quick, test_e1_probes_every_reached_state);
     ("E1 reports raising polls", `Quick, test_e1_reports_raising_polls);
+    ("stab tier checkpoint aborts", `Quick, test_stab_tier_checkpoint);
   ]

@@ -329,8 +329,8 @@ let test_visited_table_through_doublings () =
      by configuration. *)
   let small = { bounds with Explore.max_nodes = 3_000 } in
   let view (c : E.config) =
-    ( Format.asprintf "%a" P.pp_sender c.E.sender,
-      Format.asprintf "%a" P.pp_receiver c.E.receiver,
+    ( Format.asprintf "%a" P.pp_sender (E.sender_of c.E.sid),
+      Format.asprintf "%a" P.pp_receiver (E.receiver_of c.E.rid),
       E.packets_tr c,
       E.packets_rt c,
       c.E.submitted,

@@ -631,6 +631,42 @@ let test_e2e_boundness_cover_and_stab_memo () =
         (str_contains health
            (Printf.sprintf {|"resident_protocols":["%s","stop-and-wait"]|} handle)))
 
+(* Cancelling a running cover lands mid-fixpoint: on a one-worker
+   server the flood cover (which runs to its 200k-node cap) ends
+   [cancelled], and since the aborted run memoized nothing, resubmitting
+   it is a memo miss, not a hit. *)
+let test_e2e_cancel_running_cover () =
+  with_server ~jobs:1 (fun port ->
+      let body = {|{"protocol":"flood"}|} in
+      let rec wait_for what deadline cond =
+        if not (cond ()) then begin
+          if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+          Thread.delay 0.01;
+          wait_for what deadline cond
+        end
+      in
+      (* Submit, and wait until the job has consulted the memo, i.e. is
+         inside the analysis. *)
+      let start_cover () =
+        let misses = cache_requests ~port "miss" and hits = cache_requests ~port "hit" in
+        let id = submit_ok ~port "cover" body in
+        wait_for "the memo lookup" (Unix.gettimeofday () +. 30.0) (fun () ->
+            cache_requests ~port "miss" > misses || cache_requests ~port "hit" > hits);
+        (id, misses, hits)
+      in
+      let cancel id =
+        let status, _, _ = request ~port ~meth:"DELETE" ~target:("/v1/jobs/" ^ id) () in
+        checkb "cancel acknowledged" true (status = 200 || status = 202);
+        checkstr "ends cancelled" "cancelled" (poll_terminal ~port id)
+      in
+      let first, misses, hits = start_cover () in
+      checki "first cover misses" (misses + 1) (cache_requests ~port "miss");
+      cancel first;
+      let again, misses, _ = start_cover () in
+      checki "resubmission misses" (misses + 1) (cache_requests ~port "miss");
+      checki "resubmission is no hit" hits (cache_requests ~port "hit");
+      cancel again)
+
 let test_e2e_protocol_submission_errors () =
   with_server (fun port ->
       (* Uncompilable spec -> 400 with located diagnostics: a parse error,
@@ -728,4 +764,5 @@ let suite =
     ("e2e did-you-mean 400", `Quick, test_e2e_did_you_mean_400);
     ("cache memo", `Quick, test_cache_memo);
     ("e2e boundness, cover and stab memo", `Quick, test_e2e_boundness_cover_and_stab_memo);
+    ("e2e cancel running cover", `Quick, test_e2e_cancel_running_cover);
   ]
