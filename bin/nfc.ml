@@ -1041,10 +1041,7 @@ let pdl_cmd =
                     @ (match static with
                       | Some rep -> [ ("static", Nfc_specint.Specint.to_json rep) ]
                       | None -> [])
-                    @
-                    match refined with
-                    | Some res -> [ ("refine", Nfc_refine.Refine.to_json res) ]
-                    | None -> [])))
+                    @ Nfc_refine.Refine.json_field refined)))
           else begin
             List.iter
               (fun d -> print_endline (Nfc_pdl.Diag.to_string ~file d))

@@ -118,6 +118,9 @@ module Make (P : Spec.S) = struct
     let module E = B.E in
     let reach = E.reachable_set ~checkpoint:cfg.checkpoint cfg.bounds in
     let g = reach.E.graph in
+    (* The reached packet alphabet: what follows reads [E.pkts] but must
+       not grow it (checked after Q1). *)
+    let n_pkts = Pvec.Index.size E.pkts in
     (* --------------------------- alphabet census and state collection *)
     let atr = ref Iset.empty in
     let art = ref Iset.empty in
@@ -203,9 +206,10 @@ module Make (P : Spec.S) = struct
         end)
       (List.rev !partial);
     (* ------------------------------- B1: Theorem 2.1 certificate *)
-    (* The ungated reach above is reused whenever it is phantom-free (the
-       registry protocols) — the gated pass then provably visits the same
-       set, so boundness costs probes, not a second exploration. *)
+    (* Boundness is measured on the ungated reach above, so it costs
+       probes, not a second exploration: on all of it when it is
+       phantom-free, and on its delivery-gated part when it carries a
+       phantom (stop-and-wait and alternating-bit do). *)
     let breport =
       B.measure ~max_probes:cfg.max_probes ~checkpoint:cfg.checkpoint ~reach
         ~explore:cfg.bounds ~probe_bounds:cfg.probe ()
@@ -322,6 +326,13 @@ module Make (P : Spec.S) = struct
     in
     report "sender" sender_closure;
     report "receiver" receiver_closure;
+    (* The boundness walk and the closures above step ids through the
+       memos the reach filled; an interning there would change the
+       alphabet the --complete cover iterates. *)
+    if Pvec.Index.size E.pkts <> n_pkts then
+      failwith
+        (spf "lint %s: E.pkts grew from %d to %d packets after the reach" P.name n_pkts
+           (Pvec.Index.size E.pkts));
     (* ----------------------------------------- S1: spec sanitizer *)
     (* Probes the spec-to-engine contract (comparator reflexivity,
        hash/comparator coherence, step purity) on the instrumented spec,

@@ -184,25 +184,39 @@ module Make (P : Spec.S) = struct
 
   let measure ?max_probes ?checkpoint ?reach
       ~(explore : Explore.bounds) ~(probe_bounds : probe_bounds) () =
-    (* A caller-supplied ungated exploration at the same bounds stands in
-       for the gated pass exactly when it is phantom-free: then every
-       delivery taken had a message pending, so the gated traversal would
-       make the identical moves and visit the identical set.  A reach
-       carrying a phantom is ignored and the gated pass runs. *)
-    let reach =
+    (* Boundness measures from semi-valid executions, so it needs the
+       configurations reached without a phantom delivery.  A
+       caller-supplied ungated exploration at the same bounds holds them:
+       all of it when it is phantom-free (every delivery taken had a
+       message pending, so the gated traversal makes the identical
+       moves), otherwise the part [initial] reaches through gated moves
+       inside it.  When the exploration closed, that part is exactly the
+       gated pass's set.  [None] for [held]: every id of [g]. *)
+    let g, held =
       match reach with
-      | Some r when r.E.first_phantom = None -> r
-      | _ -> E.reachable_set ~deliver_valid_only:true ?checkpoint explore
+      | Some r when r.E.first_phantom = None -> (r.E.graph, None)
+      | Some r ->
+          let seeds = Option.to_list (E.find r.E.graph E.initial) in
+          (r.E.graph, Some (E.gated_closure ?checkpoint r.E.graph explore seeds))
+      | None -> ((E.reachable_set ~deliver_valid_only:true ?checkpoint explore).E.graph, None)
     in
-    let stats = reach.E.reach_stats in
-    let g = reach.E.graph in
-    let semi_valid =
-      let out = ref [] in
-      for i = E.size g - 1 downto 0 do
-        if E.submitted g i = E.delivered g i + 1 then out := i :: !out
-      done;
-      !out
+    let iter_held f =
+      match held with
+      | None ->
+          for i = 0 to E.size g - 1 do
+            f i
+          done
+      | Some ids -> Array.iter f ids
     in
+    let configs = ref 0 and semi = ref [] in
+    let senders = Explore.Seen.create () and receivers = Explore.Seen.create () in
+    let k_t = ref 0 and k_r = ref 0 in
+    iter_held (fun i ->
+        incr configs;
+        if Explore.Seen.first senders (E.sid g i) then incr k_t;
+        if Explore.Seen.first receivers (E.rid g i) then incr k_r;
+        if E.submitted g i = E.delivered g i + 1 then semi := i :: !semi);
+    let semi_valid = List.rev !semi in
     let n_semi = List.length semi_valid in
     let budget = match max_probes with None -> max_int | Some n -> n in
     (* Sample the first [max_probes] semi-valid configurations in the
@@ -277,10 +291,10 @@ module Make (P : Spec.S) = struct
     in
     {
       protocol = P.name;
-      k_t = stats.Explore.sender_states;
-      k_r = stats.Explore.receiver_states;
-      state_product = stats.Explore.sender_states * stats.Explore.receiver_states;
-      configs_explored = stats.Explore.nodes;
+      k_t = !k_t;
+      k_r = !k_r;
+      state_product = !k_t * !k_r;
+      configs_explored = !configs;
       semi_valid_configs = n_semi;
       boundness;
       probes_exhausted = exhausted;

@@ -55,11 +55,23 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   module E : module type of Explore.Make (P)
 
   (** As the toplevel {!measure}, plus [reach]: an {e ungated}
-      [E.reachable_set] at the same [explore] bounds.  When that reach is
-      phantom-free ([first_phantom = None]) the gated exploration provably
-      visits the identical set and is skipped — one BFS pass instead of
-      two; a reach carrying a phantom is ignored and the gated pass runs
-      as usual, so the report is the same either way. *)
+      [E.reachable_set] at the same [explore] bounds, measured in place
+      of the gated exploration, which is then skipped.
+
+      - Phantom-free reach ([first_phantom = None]): the gated
+        exploration would visit the identical set, so the report is the
+        gated pass's.
+      - Reach carrying a phantom: the measurement runs on its gated
+        closure ({!Explore.Make.gated_closure} from [initial]), the held
+        configurations reached through delivery-gated moves.
+        [configs_explored], [k_t], [k_r] and the semi-valid set are
+        counted over the closure.  When the reach closed
+        ([truncated = false]) the closure is exactly the gated pass's set
+        and the report is the gated pass's.  When it was truncated, the
+        report describes the gated part of the held graph: every
+        configuration in it is reachable by a valid execution, so it is
+        still a sound sample, but not the one a gated exploration cut off
+        at [max_nodes] would take. *)
   val measure :
     ?max_probes:int ->
     ?checkpoint:(unit -> unit) ->

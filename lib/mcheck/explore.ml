@@ -842,6 +842,36 @@ module Make (P : Spec.S) = struct
     done;
     dist
 
+  (* Forward BFS from the [seeds] ids over the delivery-gated moves whose
+     targets [g] holds, on ints alone: [Table.find] maps a move to its id
+     and a byte per id marks the visited.  The ungated sweep that built
+     [g] expanded every held configuration (the cap rule), so each gated
+     move here is one it already made: every memo read is filled, and the
+     walk interns nothing. *)
+  let gated_closure ?(checkpoint = ignore) g bounds seeds =
+    let n = size g in
+    if g.expanded < n then invalid_arg "Explore.gated_closure: graph not fully expanded";
+    let mark = Bytes.make n '\000' in
+    let queue = Array.make n 0 and head = ref 0 and tail = ref 0 in
+    let add id =
+      if id >= 0 && Bytes.unsafe_get mark id = '\000' then begin
+        Bytes.unsafe_set mark id '\001';
+        queue.(!tail) <- id;
+        incr tail
+      end
+    in
+    List.iter add seeds;
+    let t = g.visited in
+    let push _ sid rid tr rt sub del = add (Table.find t sid rid tr rt sub del) in
+    while !head < !tail do
+      let src = queue.(!head) in
+      incr head;
+      if !head land 2047 = 0 then checkpoint ();
+      iter_succ ~deliver_valid_only:true bounds (Table.get t src 0) (Table.get t src 1)
+        (Table.get t src 2) (Table.get t src 3) (Table.get t src 4) (Table.get t src 5) push
+    done;
+    Array.sub queue 0 !tail
+
   let final act = match act with Some a -> [ a ] | None -> []
 
   type reach = {

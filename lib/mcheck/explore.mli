@@ -292,6 +292,20 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       [source], [max_int] when none is reachable inside the graph. *)
   val distances_to : graph -> (int -> bool) -> int array
 
+  (** [gated_closure g bounds seeds]: the ids of the held configurations
+      that the [seeds] ids reach through delivery-gated moves (the
+      [deliver_valid_only] relation) inside [g], in breadth-first order,
+      seeds first; a move whose target [g] does not hold is skipped.
+      [g] must come from an ungated exploration at [bounds] under the
+      [cap] rule ({!reachable_set}, {!from_configs}): every held
+      configuration was then expanded under a superset of the gated
+      relation, so every memo the walk reads is filled and it interns
+      nothing.  When that exploration was not truncated, the closure of
+      {!initial}'s id is exactly the set a gated {!reachable_set} holds.
+      [checkpoint] as for {!reachable_set}.
+      @raise Invalid_argument if [g] holds an unexpanded configuration. *)
+  val gated_closure : ?checkpoint:(unit -> unit) -> graph -> bounds -> int list -> int array
+
   type reach = {
     graph : graph;  (** every visited configuration, under ids in BFS order *)
     truncated : bool;  (** true iff [max_nodes] cut the exploration off *)
@@ -302,7 +316,8 @@ module Make (P : Nfc_protocol.Spec.S) : sig
             [None] certifies no expansion anywhere produced
             [delivered > submitted], hence that the delivery-gated
             successor graph coincides with the ungated one on this
-            exploration ({!Boundness} reuses the set on that strength) *)
+            exploration ({!Boundness} then measures on the whole set;
+            otherwise on its {!gated_closure}) *)
     phantom_in_budget : bool;
         (** whether that first phantom move was generated before {!search}
             would have exhausted [max_nodes] — i.e. whether [search]
@@ -317,8 +332,9 @@ module Make (P : Nfc_protocol.Spec.S) : sig
   (** The reachable set itself (not just its statistics).  One full
       breadth-first sweep serves four consumers: the explored graph
       (census, probing), the phantom scan (replacing a separate
-      {!search} pass), the Q1 progress bits ([stuck]), and — when
-      phantom-free — the boundness measurement's gated exploration.
+      {!search} pass), the Q1 progress bits ([stuck]), and the boundness
+      measurement, which reads the whole set when it is phantom-free and
+      its {!gated_closure} otherwise, instead of a gated exploration.
 
       [checkpoint] is called every ~2k dequeues — the cooperative
       cancellation hook; it may raise to abort the exploration. *)

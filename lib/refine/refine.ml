@@ -368,6 +368,11 @@ let to_json (res : result) =
       ("refuted", Json.List (List.map refutation_json res.refuted));
     ]
 
+(* The ["refine"] member of a JSON report object: present exactly when
+   {!analyze} refined, as in [pdl --json] and the [/v1/protocols]
+   responses. *)
+let json_field = function Some res -> [ ("refine", to_json res) ] | None -> []
+
 (* One A1 Info note per round plus a summary — what [apply_to_lint]
    renders after the static-certification line. *)
 let notes (res : result) : string list =

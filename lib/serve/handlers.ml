@@ -344,11 +344,7 @@ let protocol_submit ctx : Router.handler =
             let rep, refined =
               Nfc_refine.Refine.analyze ~rounds:refine c.Nfc_pdl.Pdl.checked
             in
-            let refine_json =
-              match refined with
-              | Some res -> [ ("refine", Nfc_refine.Refine.to_json res) ]
-              | None -> []
-            in
+            let refine_json = Nfc_refine.Refine.json_field refined in
             let failed =
               List.filter
                 (fun (f : Nfc_specint.Specint.finding) ->

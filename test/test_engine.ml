@@ -135,22 +135,140 @@ let test_boundness_reports_agree () =
     (registry ());
   checkb "some probe exhausts its budget" true (!exhausted > 0)
 
-(* The linter's one-pass path: a phantom-free ungated reach handed to
-   [measure] must yield the identical report the gated pass computes. *)
+(* The phantom reaches of the registry and the example specs never
+   close: retransmission lets the receiver deliver without end, so
+   [delivered] is unbounded.  This receiver delivers its first data
+   packet twice and ignores the rest, so its reach carries a phantom
+   (two deliveries after one submission) and still closes. *)
+let double_delivery =
+  lazy
+    (match
+       Nfc_pdl.Pdl.compile_string
+         {|protocol "double-delivery" {
+  describe "delivers the first data packet twice, nothing after"
+  packets { data }
+  sender {
+    counter pending = 0
+    on submit { pending += 1 }
+    poll when pending > 0 -> send data { pending -= 1 }
+  }
+  receiver {
+    counter due = 0
+    var used : bool = false
+    on data when !used { due += 2; used = true }
+    poll when due > 0 -> deliver { due -= 1 }
+  }
+}|}
+     with
+    | Ok c -> c.Nfc_pdl.Pdl.spec
+    | Error _ -> Alcotest.fail "double-delivery must compile")
+
+(* A second set of bounds, at capacity 1. *)
+let small =
+  { bounds with Explore.capacity_tr = 1; capacity_rt = 1; submit_budget = 2; max_nodes = 20_000 }
+
+let reach_inputs () =
+  List.concat_map
+    (fun b -> List.map (fun p -> (p, b)) (registry () @ [ Lazy.force double_delivery ]))
+    [ bounds; small ]
+  @ List.map (fun p -> (p, bounds)) (Lazy.force Test_lint.example_specs)
+
+(* The linter's one-pass path: [measure ?reach] on an ungated reach.
+   A reach that closes, phantom or not, and a phantom-free one, must
+   yield the gated pass's report.  A truncated reach carrying a phantom
+   yields the report of its gated closure: the held configurations
+   [initial] reaches through gated moves, which the oracle here rebuilds
+   on records ([iter_successors ~deliver_valid_only:true] and [find]). *)
+
 let test_boundness_reach_reuse () =
+  let closing_phantoms = ref 0 and truncated_phantoms = ref 0 in
   List.iter
-    (fun proto ->
+    (fun (proto, bounds) ->
       let module P = (val proto : Nfc_protocol.Spec.S) in
       let module B = Boundness.Make (P) in
-      let reach = B.E.reachable_set bounds in
-      let with_hint =
-        B.measure ~max_probes:100 ~reach ~explore:bounds ~probe_bounds:probe ()
-      in
-      let without =
-        B.measure ~max_probes:100 ~explore:bounds ~probe_bounds:probe ()
-      in
-      checkb (P.name ^ " reach reuse") true (with_hint = without))
-    (registry ())
+      let module E = B.E in
+      let n = P.name ^ " @ " ^ bounds_label bounds in
+      let reach = E.reachable_set bounds in
+      let got = B.measure ~max_probes:100 ~reach ~explore:bounds ~probe_bounds:probe () in
+      let phantom = reach.E.first_phantom <> None in
+      if (not reach.E.truncated) || not phantom then begin
+        if phantom then incr closing_phantoms;
+        let want = B.measure ~max_probes:100 ~explore:bounds ~probe_bounds:probe () in
+        checkb (n ^ " report = gated pass") true (got = want)
+      end
+      else begin
+        incr truncated_phantoms;
+        let g = reach.E.graph in
+        let seen = Hashtbl.create 1024 and queue = Queue.create () in
+        let add c =
+          match E.find g c with
+          | Some id when not (Hashtbl.mem seen id) ->
+              Hashtbl.add seen id ();
+              Queue.add c queue
+          | _ -> ()
+        in
+        add E.initial;
+        let closure = ref [] in
+        while not (Queue.is_empty queue) do
+          let c = Queue.pop queue in
+          closure := c :: !closure;
+          E.iter_successors ~deliver_valid_only:true bounds c (fun _ c' -> add c')
+        done;
+        let distinct f = List.length (List.sort_uniq Int.compare (List.map f !closure)) in
+        let semi =
+          List.length (List.filter (fun (c : E.config) -> c.submitted = c.delivered + 1) !closure)
+        in
+        checkb (n ^ " closure is part of the reach") true
+          (List.length !closure < E.size g);
+        checki (n ^ " configs") (List.length !closure) got.Boundness.configs_explored;
+        checki (n ^ " k_t") (distinct (fun c -> c.E.sid)) got.Boundness.k_t;
+        checki (n ^ " k_r") (distinct (fun c -> c.E.rid)) got.Boundness.k_r;
+        checki (n ^ " semi-valid") semi got.Boundness.semi_valid_configs;
+        checki (n ^ " skipped") (max 0 (semi - 100)) got.Boundness.probes_skipped
+      end)
+    (reach_inputs ());
+  checkb "some phantom reach closes" true (!closing_phantoms > 0);
+  checkb "some phantom reach is truncated" true (!truncated_phantoms > 0)
+
+(* [gated_closure] from [initial]'s id (0) over an ungated reach that
+   closes is exactly the set a gated reach holds, compared as decoded
+   configurations.  [None] when the reach is truncated. *)
+let closure_is_gated_reach proto bounds =
+  let module P = (val proto : Nfc_protocol.Spec.S) in
+  let module E = Explore.Make (P) in
+  let reach = E.reachable_set bounds in
+  if reach.E.truncated then None
+  else begin
+    let gated = E.reachable_set ~deliver_valid_only:true bounds in
+    let decode g ids = List.sort compare (List.map (E.node g) ids) in
+    let closure = Array.to_list (E.gated_closure reach.E.graph bounds [ 0 ]) in
+    Some
+      ((not gated.E.truncated)
+      && decode reach.E.graph closure
+         = decode gated.E.graph (List.init (E.size gated.E.graph) Fun.id))
+  end
+
+let test_gated_closure_differential () =
+  let closed = ref 0 in
+  List.iter
+    (fun (proto, bounds) ->
+      match closure_is_gated_reach proto bounds with
+      | None -> ()
+      | Some same ->
+          incr closed;
+          checkb (name_of proto ^ " @ " ^ bounds_label bounds ^ " closure = gated reach") true same)
+    (reach_inputs ());
+  checkb "some reach closes" true (!closed > 0)
+
+(* Few generated specs compile (2 in 5,000 in one run), hence the count. *)
+let prop_gated_closure_generated =
+  QCheck.Test.make ~name:"gated closure = gated reach on generated specs" ~count:2_000
+    Test_pdl.arb_spec (fun spec ->
+      match Nfc_pdl.Pdl.compile_string (Nfc_pdl.Ast.print spec) with
+      | Error _ -> true
+      | Ok c ->
+          Option.value ~default:true
+            (closure_is_gated_reach c.Nfc_pdl.Pdl.spec { bounds with Explore.max_nodes = 5_000 }))
 
 (* ------------------------------------------- parallel lint determinism *)
 
@@ -295,10 +413,14 @@ let suite =
     ("phantom verdicts agree with tree reference", `Quick, test_phantom_verdicts_agree);
     ("reach phantom scan matches search", `Quick, test_reach_phantom_scan_matches_search);
     ("boundness reports agree with tree reference", `Quick, test_boundness_reports_agree);
-    ("boundness reuses a phantom-free reach", `Quick, test_boundness_reach_reuse);
+    ( "boundness reuses a phantom-free reach or a phantom one's gated closure",
+      `Quick,
+      test_boundness_reach_reuse );
     ("lint registry identical at jobs=1 and jobs=4", `Quick, test_lint_jobs_deterministic);
     ("fuzz batches independent of job count", `Quick, test_fuzz_batches_job_independent);
     ("from_configs seed contract", `Quick, test_from_configs_seed_contract);
     ("stab-arq cap 1 converges (SS1/SS2 pin)", `Quick, test_converge_stab_arq_pin);
     ("wedge stats match reach stats", `Quick, test_wedge_stats_match_reach);
+    ("gated closure = gated reach on closing reaches", `Quick, test_gated_closure_differential);
+    QCheck_alcotest.to_alcotest prop_gated_closure_generated;
   ]
