@@ -260,16 +260,6 @@ let test_gated_closure_differential () =
     (reach_inputs ());
   checkb "some reach closes" true (!closed > 0)
 
-(* Few generated specs compile (2 in 5,000 in one run), hence the count. *)
-let prop_gated_closure_generated =
-  QCheck.Test.make ~name:"gated closure = gated reach on generated specs" ~count:2_000
-    Test_pdl.arb_spec (fun spec ->
-      match Nfc_pdl.Pdl.compile_string (Nfc_pdl.Ast.print spec) with
-      | Error _ -> true
-      | Ok c ->
-          Option.value ~default:true
-            (closure_is_gated_reach c.Nfc_pdl.Pdl.spec { bounds with Explore.max_nodes = 5_000 }))
-
 (* ------------------------------------------- parallel lint determinism *)
 
 let test_lint_jobs_deterministic () =
@@ -422,5 +412,4 @@ let suite =
     ("stab-arq cap 1 converges (SS1/SS2 pin)", `Quick, test_converge_stab_arq_pin);
     ("wedge stats match reach stats", `Quick, test_wedge_stats_match_reach);
     ("gated closure = gated reach on closing reaches", `Quick, test_gated_closure_differential);
-    QCheck_alcotest.to_alcotest prop_gated_closure_generated;
   ]
