@@ -728,19 +728,35 @@ module Make (P : Spec.S) = struct
      queue was not empty), so the last expansion may overshoot.
      [on_edge g src act sid rid tr rt sub del] sees every move in
      generation order, before its target is inserted, and stops the
-     search by returning [true]. *)
-  let explore ?deliver_valid_only ?(checkpoint = ignore) ?(parents = false) ?(preds = false)
-      ?(on_edge = fun _ _ _ _ _ _ _ _ _ -> false) ~cap ~stop ~seeds bounds =
+     search by returning [true].
+
+     With [counters] off the graph is the quotient by the two message
+     counters: seeds and move targets are held with both at 0.  That is
+     a bisimulation only when no move reads them — no submission
+     budget, no delivery gate — so the precondition is checked here.
+     [push] is chosen once per call, so a counter-carrying sweep pays
+     nothing per move for the option. *)
+  let explore ?deliver_valid_only ?(counters = true) ?(checkpoint = ignore) ?(parents = false)
+      ?(preds = false) ?(on_edge = fun _ _ _ _ _ _ _ _ _ -> false) ~cap ~stop ~seeds bounds =
+    if (not counters) && (bounds.submit_budget > 0 || deliver_valid_only = Some true) then
+      invalid_arg "Explore.explore: ~counters:false needs submit_budget = 0 and ungated delivery";
     let g = create_graph ~parents ~preds in
     let t = g.visited in
     List.iter
-      (fun c -> visit g ~cap (-1) None 0 c.sid c.rid c.tr c.rt c.submitted c.delivered)
+      (fun c ->
+        if counters then visit g ~cap (-1) None 0 c.sid c.rid c.tr c.rt c.submitted c.delivered
+        else visit g ~cap (-1) None 0 c.sid c.rid c.tr c.rt 0 0)
       seeds;
     let depth = ref 0 and level_end = ref (Table.length t) in
-    let push act sid rid tr rt sub del =
-      let src = g.expanded - 1 in
-      if on_edge g src act sid rid tr rt sub del then raise_notrace Stop;
-      visit g ~cap src act (!depth + 1) sid rid tr rt sub del
+    let push =
+      if counters then (fun act sid rid tr rt sub del ->
+        let src = g.expanded - 1 in
+        if on_edge g src act sid rid tr rt sub del then raise_notrace Stop;
+        visit g ~cap src act (!depth + 1) sid rid tr rt sub del)
+      else fun act sid rid tr rt _ _ ->
+        let src = g.expanded - 1 in
+        if on_edge g src act sid rid tr rt 0 0 then raise_notrace Stop;
+        visit g ~cap src act (!depth + 1) sid rid tr rt 0 0
     in
     (try
        while g.expanded < Table.length t do

@@ -254,9 +254,22 @@ module Make (P : Nfc_protocol.Spec.S) : sig
       [parents] keeps BFS-tree links (for shortest witnesses), [preds]
       keeps every move's target as a flat edge list (for
       {!distances_to}); both default to [false] and cost nothing when
-      off.  [checkpoint] as for {!reachable_set}. *)
+      off.  [checkpoint] as for {!reachable_set}.
+
+      [counters] (default [true]) keeps the two message counters.  With
+      [~counters:false] the graph is the quotient by them: every seed
+      and every move's target is held, and handed to [on_edge], with
+      [submitted = delivered = 0].  Configurations that differ only in
+      their counters then share one id.  That is sound only when no move
+      reads the counters, so it needs [submit_budget = 0] and ungated
+      delivery; the moves and their order are unchanged, but a
+      [receive_msg] label on a held edge numbers from 0 (walk the real
+      configurations with {!iter_successors} for true labels).
+      @raise Invalid_argument if [~counters:false] comes with
+      [submit_budget > 0] or [~deliver_valid_only:true]. *)
   val explore :
     ?deliver_valid_only:bool ->
+    ?counters:bool ->
     ?checkpoint:(unit -> unit) ->
     ?parents:bool ->
     ?preds:bool ->

@@ -147,7 +147,7 @@ let make ?(retransmit = 2) ?(ping_every = 4) () : Spec.t =
     let hash_receiver =
       Some
         (fun r ->
-          Spec.structural_hash (r.delivered, r.deliver_due, Nfc_util.Deque.to_list r.echo_due))
+          Spec.structural_hash (r.delivered, r.deliver_due, Nfc_util.Deque.hash r.echo_due))
 
     (* No cover saturation: the flush rule compares cumulative per-colour
        send and echo counters, so the sender's state space is genuinely

@@ -87,7 +87,7 @@ let make ?(timeout = 4) () : Spec.t =
     let hash_receiver =
       Some
         (fun r ->
-          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.to_list r.ack_due))
+          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.hash r.ack_due))
 
     (* Cover saturation.  The sender is finite under a budget.  The
        receiver absorbs ω data packets into [deliver_due] and [ack_due];

@@ -112,7 +112,7 @@ let make ?(window = 4) ?(timeout = 8) () : Spec.t =
     let hash_receiver =
       Some
         (fun r ->
-          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.to_list r.ack_due))
+          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.hash r.ack_due))
 
     (* Cover saturation: identical argument to {!Stenning} — [expected] is
        budget-bounded, pending deliveries cap at [budget + 2], and the

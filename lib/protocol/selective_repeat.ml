@@ -149,7 +149,7 @@ let make ?(window = 4) ?(timeout = 8) () : Spec.t =
         (fun r ->
           Spec.structural_hash
             (r.expected, Iset.elements r.buffered, r.deliver_due,
-             Nfc_util.Deque.to_list r.ack_due))
+             Nfc_util.Deque.hash r.ack_due))
 
     (* Cover saturation: [expected] and [buffered] are budget/window
        bounded; only the owed-work fields grow under ω data, and they

@@ -67,7 +67,9 @@ module type S = sig
       ({!Nfc_mcheck.Explore}).  A hook must be consistent with the
       corresponding comparator: compare-equal states must hash equally
       (beware comparators that normalise, e.g. through [Deque.to_list] —
-      hash the same normal form).  [None] is always safe: the engines then
+      hash the same normal form, as {!Nfc_util.Deque.hash} does for a
+      queue's sequence: [Hashtbl.hash] on a list reads only its first
+      few elements).  [None] is always safe: the engines then
       fall back to a comparator-keyed intern table, paying O(log k) state
       comparisons per lookup instead of O(1). *)
   val hash_sender : (sender -> int) option

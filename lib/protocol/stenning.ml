@@ -93,7 +93,7 @@ let make ?(timeout = 4) () : Spec.t =
     let hash_receiver =
       Some
         (fun r ->
-          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.to_list r.ack_due))
+          Spec.structural_hash (r.expected, r.deliver_due, Nfc_util.Deque.hash r.ack_due))
 
     (* Cover saturation.  [expected] is bounded by the budget (the sender
        never issues an index above [submitted]); the owed-work fields

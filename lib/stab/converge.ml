@@ -14,6 +14,17 @@
     zero submission budget, so the system must re-enter L without fresh
     user input.
 
+    No recovery move reads the message counters (no submissions, no
+    delivery gate) and L is tested counter-free, so configurations that
+    differ only in their counters have the same moves and the same
+    legitimacy.  The recovery sweeps therefore run on the quotient by
+    the counters ([Explore.Make.explore ~counters:false]): each
+    configuration is held once with both counters at 0, not once per
+    count of deliveries made on the way to it.
+    Every distance to L, and so every verdict, bound and witness, is the
+    same on a sweep that closes; [explored] counts the quotient's
+    configurations, and a budget-limited sweep reaches further.
+
     Station states and the packet alphabet are read off the BFS-ordered
     legitimate graph, so every field of {!report} — including witness
     traces and configuration prints — is a function of the protocol and
@@ -57,7 +68,10 @@ let verdict_to_string = function Pass -> "pass" | Fail -> "fail" | Unknown -> "u
     corrupted-start analysis and the SS2 duplication-exit analysis). *)
 type convergence = {
   seeds_analyzed : int;
-  explored : int;  (** recovery sweep size (seeds + their closure) *)
+  explored : int;
+      (** recovery sweep size (seeds + their closure), counted as
+          distinct counter-free configurations: the sweep runs on the
+          quotient by the message counters *)
   sweep_truncated : bool;
   converged : int;
   divergent : int;  (** seeds with no path into L within the budget *)
@@ -205,15 +219,17 @@ let analyze ?checkpoint (spec : Spec.t) cfg =
       P.pp_receiver (E.receiver_of c.E.rid) pp_chan (E.packets_tr c) pp_chan (E.packets_rt c)
   in
   (* One multi-seed convergence measurement: forward recovery sweep from
-     the seeds, keeping predecessors, then distance-to-L by the kernel's
-     backward BFS from the legitimate configurations over the explored
-     graph.  Distances are relative to the explored subgraph — sound as
-     convergence witnesses, upper bounds as distances; divergence is sound
-     only when the sweep was not truncated. *)
+     the seeds on the counter-free quotient, keeping predecessors, then
+     distance-to-L by the kernel's backward BFS from the legitimate
+     configurations over the explored graph.  Distances are relative to
+     the explored subgraph — sound as convergence witnesses, upper bounds
+     as distances; divergence is sound only when the sweep was not
+     truncated. *)
   let measure seeds =
     let n_seeds = List.length seeds in
     let g =
-      E.explore ?checkpoint ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds rbounds
+      E.explore ~counters:false ?checkpoint ~preds:true ~cap:rbounds.Explore.max_nodes
+        ~stop:max_int ~seeds rbounds
     in
     let n = E.size g in
     let dist =
@@ -237,26 +253,31 @@ let analyze ?checkpoint (spec : Spec.t) cfg =
         end
       end
     done;
+    (* The walk steps the real configuration, counters included, from
+       the seed (whose counters are 0), so [receive_msg] labels number
+       the deliveries along the witness; each successor is looked up by
+       its counter-free projection. *)
     let witness =
       if !argmax < 0 then []
       else begin
         let steps = ref [] in
-        let i = ref !argmax in
+        let i = ref !argmax and c = ref (E.node g !argmax) in
         (try
            while dist.(!i) > 0 do
              let next = ref None in
-             E.iter_successors rbounds (E.node g !i) (fun a c' ->
+             E.iter_successors rbounds !c (fun a c' ->
                  match !next with
                  | Some _ -> ()
                  | None -> (
-                     match E.find g c' with
-                     | Some j when dist.(j) = dist.(!i) - 1 -> next := Some (a, j)
+                     match E.find g { c' with E.submitted = 0; delivered = 0 } with
+                     | Some j when dist.(j) = dist.(!i) - 1 -> next := Some (a, j, c')
                      | _ -> ()));
              match !next with
-             | Some (a, j) ->
+             | Some (a, j, c') ->
                  steps :=
                    (match a with Some a -> Action.to_string a | None -> "tick") :: !steps;
-                 i := j
+                 i := j;
+                 c := c'
              | None -> raise Exit (* unreachable for finite distances *)
            done
          with Exit -> ());

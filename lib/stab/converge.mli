@@ -37,7 +37,11 @@ val verdict_to_string : verdict -> string
     corrupted-start run, and the SS2 duplication-exit run). *)
 type convergence = {
   seeds_analyzed : int;
-  explored : int;  (** recovery sweep size (seeds + their closure) *)
+  explored : int;
+      (** recovery sweep size (seeds + their closure) in distinct
+          counter-free configurations: no recovery move reads the
+          message counters, so the sweep holds each configuration once
+          with both at 0 *)
   sweep_truncated : bool;
   converged : int;
   divergent : int;  (** seeds with no path into L within the budget *)

@@ -51,4 +51,10 @@ let filter p t =
   { front = l; back = []; len = List.length l }
 
 let fold f acc t = List.fold_left f acc (to_list t)
+
+(* [back] is the tail of the sequence reversed, so it folds from the
+   right to keep front-to-back order without building the list. *)
+let hash t =
+  let mix h x = (h * 31) + Hashtbl.hash x in
+  List.fold_right (fun x h -> mix h x) t.back (List.fold_left mix t.len t.front)
 let exists p t = List.exists p t.front || List.exists p t.back

@@ -32,4 +32,11 @@ val remove_first : ('a -> bool) -> 'a t -> ('a * 'a t) option
 val filter : ('a -> bool) -> 'a t -> 'a t
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+
+(** A hash of the length and the front-to-back sequence that reads every
+    element ([Hashtbl.hash] each), for state hash hooks: [Hashtbl.hash]
+    on [to_list t] stops after 10 meaningful words, so long queues
+    would share a value.  Deques holding the same sequence hash equally
+    whatever their internal split.  O(n), allocates nothing. *)
+val hash : 'a t -> int
 val exists : ('a -> bool) -> 'a t -> bool

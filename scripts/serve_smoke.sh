@@ -131,15 +131,20 @@ cancel_running_cover() {
 cancel_running_cover
 cancel_running_cover
 
-# Backpressure: flood the depth-2 queue with slow fuzz jobs; expect at
-# least one 429 and nothing but 202/429 at admission.
+# Backpressure: flood the depth-2 queue with slow fuzz jobs, all 12 at
+# once so the outcome does not hang on how fast the workers drain it;
+# expect at least one 429 and nothing but 202/429 at admission.
 i=1
-: >"$out/codes"
+curls=""
 while [ $i -le 12 ]; do
   curl -s -o /dev/null -w '%{http_code}\n' -X POST "$base/v1/fuzz" \
-    -d "{\"protocol\":\"altbit\",\"iterations\":20000,\"seed\":$i}" >>"$out/codes"
+    -d "{\"protocol\":\"altbit\",\"iterations\":20000,\"seed\":$i}" >"$out/code.$i" &
+  curls="$curls $!"
   i=$((i + 1))
 done
+# A failed curl still writes its code (000), which the checks below catch.
+wait $curls || true
+cat "$out"/code.* >"$out/codes"
 if ! grep -q '^429$' "$out/codes"; then
   echo "serve-smoke: queue overflow never answered 429"
   exit 1

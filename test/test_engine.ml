@@ -3,7 +3,8 @@
    determinism guarantees of the [--jobs] paths (same lint output and
    same fuzz findings at every job count), the [from_configs] seed
    contract, the wedge search's statistics and a pin of the
-   stabilization analysis built on the same kernel. *)
+   stabilization analysis built on the same kernel, and the agreement of
+   its counter-free recovery sweeps with counter-carrying ones. *)
 open Nfc_mcheck
 
 let checkb = Alcotest.(check bool)
@@ -397,6 +398,138 @@ let test_converge_stab_arq_pin () =
     ]
     (match r.C.ss1_convergence with Some cv -> cv.C.witness | None -> [])
 
+(* ------------------------------------ counter-free recovery quotient *)
+
+(* The stab tier sweeps recovery on the quotient by the message counters
+   ([explore ~counters:false]).  [quotient_cases proto lbounds] builds
+   seed lists the way [Converge] does — corrupted starts from the
+   legitimate set's first-seen station states and channels (at most
+   [starts]), and the duplication exits from it — and sweeps each both
+   ways at a zero submission budget.  For each list whose
+   counter-carrying sweep closes it returns the label, whether every
+   seed's distance to the counter-free legitimate set agrees, the
+   number of distinct counter-free projections of the counter-carrying
+   graph, and the quotient's size and truncation. *)
+let quotient_cases proto (lbounds : Explore.bounds) ~stations ~starts =
+  let module P = (val proto : Nfc_protocol.Spec.S) in
+  let module E = Explore.Make (P) in
+  let rbounds = { lbounds with Explore.submit_budget = 0; max_nodes = 300_000 } in
+  let lg = (E.reachable_set lbounds).E.graph in
+  let project g =
+    let t = Explore.Table.create () in
+    for i = 0 to E.size g - 1 do
+      ignore (Explore.Table.add t (E.sid g i) (E.rid g i) (E.tr g i) (E.rt g i) 0 0)
+    done;
+    t
+  in
+  let legit = project lg in
+  let legitimate sid rid tr rt = Explore.Table.find legit sid rid tr rt 0 0 >= 0 in
+  let firsts f =
+    let seen = Explore.Seen.create () and out = ref [] in
+    for i = 0 to E.size lg - 1 do
+      let v = f lg i in
+      if Explore.Seen.first seen v then out := v :: !out
+    done;
+    List.filteri (fun i _ -> i < stations) (List.rev !out)
+  in
+  let config sid rid tr rt = { E.sid; rid; tr; rt; submitted = 0; delivered = 0 } in
+  let corrupted =
+    List.concat_map
+      (fun sid ->
+        List.concat_map
+          (fun rid ->
+            List.concat_map
+              (fun tr -> List.map (fun rt -> config sid rid tr rt) (firsts E.rt))
+              (firsts E.tr))
+          (firsts E.rid))
+      (firsts E.sid)
+    |> List.filteri (fun i _ -> i < starts)
+  in
+  let dup_exits =
+    let seen = Explore.Table.create () and out = ref [] in
+    let consider sid rid tr rt =
+      if (not (legitimate sid rid tr rt)) && Explore.Table.find seen sid rid tr rt 0 0 < 0
+      then begin
+        ignore (Explore.Table.add seen sid rid tr rt 0 0);
+        out := config sid rid tr rt :: !out
+      end
+    in
+    for i = 0 to E.size lg - 1 do
+      let sid = E.sid lg i and rid = E.rid lg i and tr = E.tr lg i and rt = E.rt lg i in
+      List.iter (fun (v, _) -> consider sid (E.step_data rid v) tr rt) (E.chan_packets tr);
+      List.iter (fun (v, _) -> consider (E.step_ack sid v) rid tr rt) (E.chan_packets rt)
+    done;
+    List.rev !out
+  in
+  List.filter_map
+    (fun (label, seeds) ->
+      let sweep counters =
+        E.explore ~counters ~preds:true ~cap:rbounds.Explore.max_nodes ~stop:max_int ~seeds
+          rbounds
+      in
+      let full = sweep true in
+      if seeds = [] || E.truncated full then None
+      else begin
+        let quot = sweep false in
+        let dist g =
+          E.distances_to g (fun i -> legitimate (E.sid g i) (E.rid g i) (E.tr g i) (E.rt g i))
+        in
+        let df = dist full and dq = dist quot in
+        let same =
+          List.for_all
+            (fun c ->
+              match (E.find full c, E.find quot c) with
+              | Some i, Some j -> df.(i) = dq.(j)
+              | _ -> false)
+            seeds
+        in
+        Some
+          ( Printf.sprintf "%s cap %d %s" P.name lbounds.Explore.capacity_tr label,
+            same,
+            Explore.Table.length (project full),
+            E.size full,
+            E.size quot,
+            E.truncated quot )
+      end)
+    [ ("corrupted starts", corrupted); ("duplication exits", dup_exits) ]
+
+let test_recovery_quotient_differential () =
+  let stab = Nfc_stab.Converge.default_cfg.Nfc_stab.Converge.bounds in
+  let cap2 = { stab with Explore.capacity_tr = 2; capacity_rt = 2 } in
+  let cases =
+    List.concat_map
+      (fun (proto, lbounds) -> quotient_cases proto lbounds ~stations:12 ~starts:4_000)
+      [
+        (Nfc_protocol.Stab_arq.make (), stab);
+        (Nfc_protocol.Stab_arq.make (), cap2);
+        (Nfc_protocol.Flood.make (), stab);
+      ]
+  in
+  checki "closing sweeps compared" 4 (List.length cases);
+  let merged = ref false in
+  List.iter
+    (fun (n, same, projections, full, quot, truncated) ->
+      checkb (n ^ ": seed distances agree") true same;
+      checki (n ^ ": quotient = distinct projections") projections quot;
+      checkb (n ^ ": quotient closes") false truncated;
+      if quot < full then merged := true)
+    cases;
+  checkb "some sweep merges configurations" true !merged;
+  let module P = (val Nfc_protocol.Stab_arq.make () : Nfc_protocol.Spec.S) in
+  let module E = Explore.Make (P) in
+  let refused =
+    Invalid_argument
+      "Explore.explore: ~counters:false needs submit_budget = 0 and ungated delivery"
+  in
+  let sweep ?deliver_valid_only b () =
+    ignore
+      (E.explore ?deliver_valid_only ~counters:false ~cap:100 ~stop:max_int ~seeds:[ E.initial ]
+         b)
+  in
+  Alcotest.check_raises "submissions refused" refused (sweep stab);
+  Alcotest.check_raises "delivery gate refused" refused
+    (sweep ~deliver_valid_only:true { stab with Explore.submit_budget = 0 })
+
 let suite =
   [
     ("reach stats agree with tree reference", `Quick, test_reach_stats_agree);
@@ -412,4 +545,5 @@ let suite =
     ("stab-arq cap 1 converges (SS1/SS2 pin)", `Quick, test_converge_stab_arq_pin);
     ("wedge stats match reach stats", `Quick, test_wedge_stats_match_reach);
     ("gated closure = gated reach on closing reaches", `Quick, test_gated_closure_differential);
+    ("recovery quotient = counter-carrying sweep", `Quick, test_recovery_quotient_differential);
   ]

@@ -566,6 +566,32 @@ let prop_flood_safety_with_margin =
       let res = run ~seed ~n:6 ~max_rounds:100_000 (Flood.make ()) (ch ()) (ch ()) in
       res.Nfc_sim.Harness.metrics.Nfc_sim.Metrics.dl_violation = None)
 
+(* ---------------------------------- unit: receiver hash hooks see the queue *)
+
+(* After the first data packet 0 every protocol below counts it as stale:
+   each further copy only appends the same owed acknowledgement (echo,
+   for afek3) to the receiver's queue.  Receivers whose queues differ
+   only in length must land in distinct buckets of the engine's
+   interner, including past the 10 words [Hashtbl.hash] reads of a
+   list. *)
+let test_receiver_hash_reads_whole_queue () =
+  List.iter
+    (fun (spec : Spec.t) ->
+      let module P = (val spec : Spec.S) in
+      let hash = Option.get P.hash_receiver in
+      let rec feed r n = if n = 0 then r else feed (P.on_data r 0) (n - 1) in
+      let rs = List.init 8 (fun i -> feed P.receiver_init (9 + i)) in
+      let distinct cmp xs = List.length (List.sort_uniq cmp xs) in
+      checki (P.name ^ " receivers distinct") 8 (distinct P.compare_receiver rs);
+      checki (P.name ^ " hashes distinct") 8 (distinct compare (List.map hash rs)))
+    [
+      Alternating_bit.make ();
+      Stenning.make ();
+      Go_back_n.make ();
+      Selective_repeat.make ();
+      Afek3.make ();
+    ]
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -611,5 +637,6 @@ let suite =
     ("flood packets exponential", `Quick, test_flood_packets_exponential);
     ("header census", `Quick, test_stenning_headers_grow_flood_headers_bounded);
     ("space instrumentation", `Quick, test_space_instrumentation);
+    ("receiver hash hooks read the whole queue", `Quick, test_receiver_hash_reads_whole_queue);
   ]
   @ qsuite

@@ -234,6 +234,18 @@ let test_deque_filter_fold () =
   checki "fold sum" 10 (Deque.fold ( + ) 0 d);
   checkb "exists" true (Deque.exists (fun x -> x = 3) d)
 
+(* The hash reads every element and is blind to the front/back split:
+   [Hashtbl.hash] on the list form stops at 10 meaningful words, so
+   runs of one element past that length all shared its value. *)
+let test_deque_hash () =
+  let runs = List.init 8 (fun i -> Deque.of_list (List.init (9 + i) (fun _ -> 5))) in
+  let hs = List.map Deque.hash runs in
+  checki "lengths 9-16 hash pairwise distinct" 8 (List.length (List.sort_uniq compare hs));
+  let split = Deque.push_front 1 (Deque.push_back 3 (Deque.push_back 2 Deque.empty)) in
+  checki "same sequence, other split" (Deque.hash (Deque.of_list [ 1; 2; 3 ])) (Deque.hash split);
+  checkb "order matters" true
+    (Deque.hash (Deque.of_list [ 1; 2 ]) <> Deque.hash (Deque.of_list [ 2; 1 ]))
+
 let prop_deque_mixed_ops =
   (* A deque fed by pushes at both ends agrees with a reference list. *)
   QCheck.Test.make ~name:"deque matches reference list"
@@ -462,6 +474,7 @@ let suite =
     ("deque peeks", `Quick, test_deque_peeks);
     ("deque remove first", `Quick, test_deque_remove_first);
     ("deque filter fold", `Quick, test_deque_filter_fold);
+    ("deque hash reads every element", `Quick, test_deque_hash);
     ("table render", `Quick, test_table_render);
     ("table row mismatch", `Quick, test_table_row_mismatch);
     ("table csv", `Quick, test_table_csv);
